@@ -12,13 +12,13 @@ from .g2 import G2ClosedForm, G2Request, VerificationError, evaluate_g2
 from .numeric import (NumericCheckRecord, Precision, PrecisionError,
                       check_values, eval_constant, eval_g2_series,
                       eval_symbolic, eval_tornheim, lattice_sum)
-from .parity import EvalRequest, TruncatedBiSeries, closed_form
+from .parity import EvalRequest, closed_form
 
 __all__ = [
     "Rational", "bernoulli_number", "bernoulli_poly", "binomial",
     "SymbolicValue", "reduce_angle", "real_part", "imag_part",
     "to_dirichlet_basis", "exact_L_value", "to_latex", "to_text", "to_json",
-    "EvalRequest", "TruncatedBiSeries", "closed_form",
+    "EvalRequest", "closed_form",
     "G2Request", "G2ClosedForm", "evaluate_g2", "VerificationError",
     "Precision", "PrecisionError", "NumericCheckRecord", "check_values",
     "eval_constant", "eval_symbolic", "eval_tornheim", "eval_g2_series",

@@ -29,12 +29,8 @@ def ruleset_hash() -> str:
     return digest.hexdigest()[:16]
 
 
-def _default_digits() -> int:
-    return int(os.environ.get("TORNHEIM_PREC", "30"))
-
-
 def _add_numeric_flags(p: argparse.ArgumentParser):
-    p.add_argument("--prec", type=int, default=_default_digits(),
+    p.add_argument("--prec", type=int,
                    help="working decimal digits (default 30 or $TORNHEIM_PREC)")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="relative verification tolerance (default 1e-10)")
@@ -79,8 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _precision(parser, args) -> Precision:
+    digits = args.prec
+    if digits is None:
+        env = os.environ.get("TORNHEIM_PREC", "30")
+        try:
+            digits = int(env)
+        except ValueError:
+            parser.error(f"TORNHEIM_PREC must be an integer, got {env!r}")
     try:
-        return Precision(digits=args.prec, tolerance=args.tol)
+        return Precision(digits=digits, tolerance=args.tol)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -97,8 +100,11 @@ def _emit(record: dict):
 def cmd_eval(parser, args) -> int:
     if sum(args.k) % 2 == 0:
         parser.error("weight must be odd")
+    try:
+        req = EvalRequest(args.a, args.b, *args.k)
+    except ValueError as exc:
+        parser.error(str(exc))
     prec = _precision(parser, args)
-    req = EvalRequest(args.a, args.b, *args.k)
     value = closed_form(req)
     if args.basis == "dirichlet":
         value = to_dirichlet_basis(value, req.weight)
@@ -132,8 +138,11 @@ def cmd_eval(parser, args) -> int:
 def cmd_g2(parser, args) -> int:
     if sum(args.k) % 2 == 0:
         parser.error("weight must be odd")
+    try:
+        req = G2Request(tuple(args.k))
+    except ValueError as exc:
+        parser.error(str(exc))
     prec = _precision(parser, args)
-    req = G2Request(tuple(args.k))
     result = evaluate_g2(req, prec, collect_trace=args.show_reduction)
     if args.format == "latex":
         print(to_latex(result.clausen))

@@ -210,7 +210,8 @@ def _lattice_pass(merged, scale, dps, M, K):
     gamma = _partial_fraction_coeffs(sorted(shifts.items()))
     # residues of the 1/u parts sum to zero; the log divergences of the
     # digamma terms cancel pairwise because of it
-    assert sum(g for (q, j), g in gamma.items() if j == 1) == 0
+    if sum(g for (q, j), g in gamma.items() if j == 1) != 0:
+        raise RuntimeError("residues of the 1/u parts do not sum to zero")
 
     with mp.workdps(dps):
         def inner_sum(m):
@@ -285,10 +286,12 @@ def _lattice_pass(merged, scale, dps, M, K):
         # any formally divergent coefficient must have cancelled exactly
         for r in [r for r in c if r < 2]:
             for sym, val in c[r].items():
-                assert val == 0, f"divergent tail term m^-{r} {sym}"
+                if val != 0:
+                    raise RuntimeError(f"divergent tail term m^-{r} {sym}")
             del c[r]
         for r in [r for r in d if r < 2]:
-            assert d[r] == 0, f"divergent tail term log(m) m^-{r}"
+            if d[r] != 0:
+                raise RuntimeError(f"divergent tail term log(m) m^-{r}")
             del d[r]
 
         tail = mp.mpf(0)
@@ -355,8 +358,6 @@ def eval_tornheim(a: int, b: int, k1: int, k2: int, k3: int,
     """sum_{m,n>0} m^-k1 n^-k2 (a m + b n)^-k3 numerically."""
     if min(a, b, k1, k2, k3) < 1:
         raise ValueError("all parameters must be >= 1")
-    if k1 + k2 + k3 < 4:
-        raise ValueError("weight must be >= 4 for comfortable convergence")
     value, _ = lattice_sum([(1, 0, k1), (0, 1, k2), (a, b, k3)], precision)
     return value
 

@@ -20,9 +20,10 @@ and term2 collects the shift corrections
     atilde_{b,c}(t1,t2) = -t1 e^{-c t1} beta0(-t2) (e^{b t1 - t2}-1)/(b t1 - t2)
 
 for c = 1..b-1, whose constants are Clausen values at angles a*c/b paired
-with Bernoulli polynomial values B_q(c/b).  Powers of i are carried
-symbolically; at odd weight every surviving monomial is real and the
-single real_part call at the end is exact.
+with Bernoulli polynomial values B_q(c/b).  Both tables are read off as
+finite Cauchy double sums over Bernoulli numbers, one per coefficient.
+Powers of i are carried symbolically; at odd weight every surviving
+monomial is real and the single real_part call at the end is exact.
 """
 from __future__ import annotations
 
@@ -58,101 +59,42 @@ class EvalRequest:
         return EvalRequest(self.b, self.a, self.k2, self.k1, self.k3)
 
 
-class TruncatedBiSeries:
-    """Exact coefficients of sum c_{r,s} t1^r t2^s, truncated at total
-    degree <= degree; multiplication truncates."""
-
-    __slots__ = ("degree", "_coeffs")
-
-    def __init__(self, degree: int, coeffs: dict | None = None):
-        if degree < 0:
-            raise ValueError("degree bound must be >= 0")
-        self.degree = degree
-        self._coeffs: dict[tuple[int, int], Fraction] = {}
-        if coeffs:
-            for (r, s), v in coeffs.items():
-                if r + s <= degree and v:
-                    self._coeffs[(r, s)] = Fraction(v)
-
-    def coeff(self, r: int, s: int) -> Fraction:
-        return self._coeffs.get((r, s), Fraction(0))
-
-    def items(self):
-        return sorted(self._coeffs.items())
-
-    def __add__(self, other: "TruncatedBiSeries") -> "TruncatedBiSeries":
-        d = min(self.degree, other.degree)
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return TruncatedBiSeries(d, out)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def scaled(self, x) -> "TruncatedBiSeries":
-        return TruncatedBiSeries(self.degree,
-                                 {k: v * x for k, v in self._coeffs.items()})
-
-    def __mul__(self, other: "TruncatedBiSeries") -> "TruncatedBiSeries":
-        d = min(self.degree, other.degree)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (r1, s1), v1 in self._coeffs.items():
-            for (r2, s2), v2 in other._coeffs.items():
-                r, s = r1 + r2, s1 + s2
-                if r + s <= d:
-                    out[(r, s)] = out.get((r, s), Fraction(0)) + v1 * v2
-        return TruncatedBiSeries(d, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedBiSeries):
-            return NotImplemented
-        return self.degree == other.degree and self._coeffs == other._coeffs
-
-    @classmethod
-    def exp_t1(cls, c, degree: int) -> "TruncatedBiSeries":
-        """e^{c t1} as a bi-series constant in t2."""
-        c = Fraction(c)
-        return cls(degree, {(p, 0): c ** p / factorial(p)
-                            for p in range(degree + 1)})
+def _coeff_table(front: list, b: int, rows: int, cols: int) -> dict:
+    """Coefficients of t1^r t2^s, r <= rows, s <= cols, in
+    f(t1) beta0(-t2) (e^{bt1-t2}-1)/(bt1-t2), f(t1) = sum front[p] t1^p:
+    the Cauchy double sum over p1 <= r, p2 <= s of
+    f_p1 B_p2(0)/p2! (-1)^s b^(r-p1) / ((r-p1)! (s-p2)! (r-p1+s-p2+1))."""
+    bern = [bernoulli_number(p, "at-zero") / factorial(p)
+            for p in range(cols + 1)]
+    table = {}
+    for r in range(rows + 1):
+        for s in range(cols + 1):
+            total = Fraction(0)
+            for p1 in (p for p in range(r + 1) if front[p]):
+                q1 = r - p1
+                inner = sum(bern[p2] / (factorial(s - p2) * (q1 + s - p2 + 1))
+                            for p2 in range(s + 1) if bern[p2])
+                total += front[p1] * b ** q1 / factorial(q1) * inner
+            table[(r, s)] = (-1) ** s * total
+    return table
 
 
-def _beta0_t1(degree: int) -> TruncatedBiSeries:
-    return TruncatedBiSeries(degree, {
-        (p, 0): bernoulli_number(p, "at-zero") / factorial(p)
-        for p in range(degree + 1)})
-
-
-def _beta0_neg_t2(degree: int) -> TruncatedBiSeries:
-    return TruncatedBiSeries(degree, {
-        (0, p): bernoulli_number(p, "at-zero") * Fraction((-1) ** p, factorial(p))
-        for p in range(degree + 1)})
-
-
-def _expm1_ratio(b: int, degree: int) -> TruncatedBiSeries:
-    # (e^{b t1 - t2} - 1)/(b t1 - t2) = sum (b t1 - t2)^w / (w+1)!
-    coeffs = {
-        (p1, p2): Fraction(b ** p1 * (-1) ** p2,
-                           factorial(p1) * factorial(p2) * (p1 + p2 + 1))
-        for p1 in range(degree + 1) for p2 in range(degree + 1 - p1)}
-    return TruncatedBiSeries(degree, coeffs)
-
-
-def alpha_coeffs(b: int, degree: int) -> TruncatedBiSeries:
-    """A_b(r,s): coefficients of beta0(t1) beta0(-t2) (e^{bt1-t2}-1)/(bt1-t2)."""
+def alpha_coeffs(b: int, rows: int, cols: int) -> dict:
+    """{(r, s): A_b(r,s)} for r <= rows, s <= cols."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    return _beta0_t1(degree) * _beta0_neg_t2(degree) * _expm1_ratio(b, degree)
+    front = [bernoulli_number(p, "at-zero") / factorial(p)
+             for p in range(rows + 1)]
+    return _coeff_table(front, b, rows, cols)
 
 
-def alpha_tilde_coeffs(b: int, c: int, degree: int) -> TruncatedBiSeries:
-    """Coefficients of -t1 e^{-c t1} beta0(-t2) (e^{bt1-t2}-1)/(bt1-t2)."""
+def alpha_tilde_coeffs(b: int, c: int, rows: int, cols: int) -> dict:
+    """Coefficients of atilde_{b,c}(t1,t2) at t1^r t2^s, r <= rows, s <= cols."""
     if not 1 <= c <= b - 1:
         raise ValueError("need 1 <= c <= b-1")
-    front = TruncatedBiSeries(degree, {
-        (p, 0): -Fraction((-c) ** (p - 1), factorial(p - 1))
-        for p in range(1, degree + 1)})
-    return front * _beta0_neg_t2(degree) * _expm1_ratio(b, degree)
+    front = [Fraction(0)] + [-Fraction((-c) ** (p - 1), factorial(p - 1))
+                             for p in range(1, rows + 1)]
+    return _coeff_table(front, b, rows, cols)
 
 
 def zeta_integral_coeff(a: int, b: int, r: int, s: int) -> SymbolicValue:
@@ -170,16 +112,16 @@ def term1_coeff(req: EvalRequest) -> SymbolicValue:
     """Coefficient block pairing A_b(n2,n3) with the depth-one zeta series;
     monomials come out as (2 pi i)^(n2+n3) rational zeta(k1+s)."""
     a, b, k1, k2, k3 = req.a, req.b, req.k1, req.k2, req.k3
-    series = alpha_coeffs(b, k2 + k3)
+    series = alpha_coeffs(b, k2, k3)
     out = SymbolicValue.zero()
     for n2 in range(k2 + 1):
         for n3 in range(k3 + 1):
-            ab = series.coeff(n2, n3)
+            ab = series[(n2, n3)]
             if ab == 0:
                 continue
             s = k2 + k3 - n2 - n3
             j = k2 - n2
-            if s < 1 or j > s:
+            if s < 1:
                 continue
             zv = zeta_integral_coeff(a, 1, k1, s)
             if zv.is_zero:
@@ -198,18 +140,16 @@ def term2_coeff(req: EvalRequest) -> SymbolicValue:
     p = k1 - 1
     out = SymbolicValue.zero()
     for c in range(1, b):
-        series = alpha_tilde_coeffs(b, c, k2 + k3)
+        series = alpha_tilde_coeffs(b, c, k2, k3)
         angle = Fraction(a * c, b)
         bq_at = Fraction(c, b)
         for n2 in range(1, k2 + 1):
             for n3 in range(k3 + 1):
-                at = series.coeff(n2, n3)
+                at = series[(n2, n3)]
                 if at == 0:
                     continue
                 big_q = k2 + k3 - n2 - n3 + 1
                 j = k2 - n2
-                if j > big_q - 1:
-                    continue
                 fixed = at * comb(big_q - 1, j) * Fraction(b) ** j \
                     * (-1) ** (big_q - 1 - j)
                 for s in range(1, big_q + 1):
@@ -250,6 +190,6 @@ def closed_form(req: EvalRequest) -> SymbolicValue:
     """zeta_{a,b}(k1,k2,k3) = -(1/2) Re[G_{a,b}(k1,k2,k3)+G_{b,a}(k2,k1,k3)]."""
     g = g_coefficient(req) + g_coefficient(req.swapped)
     value = real_part(g) * Fraction(-1, 2)
-    for mono, _ in value.terms():
-        assert mono_weight(mono) == req.weight, "weight homogeneity broken"
+    if any(mono_weight(mono) != req.weight for mono, _ in value.terms()):
+        raise RuntimeError(f"weight homogeneity broken for {req}")
     return value

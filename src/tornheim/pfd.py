@@ -241,8 +241,6 @@ def trace_to_json(trace) -> list:
 
 
 def reduce_to_tornheim(ts: TermSum,
-                       basis_forms: tuple = (FORM_M, FORM_N),
-                       target_forms: tuple = G2_TARGETS,
                        relations: dict | None = None,
                        verify: bool = True,
                        trace: list | None = None) -> TermSum:
@@ -254,10 +252,10 @@ def reduce_to_tornheim(ts: TermSum,
     of 4^weight guards termination.
     """
     relations = G2_RELATIONS if relations is None else relations
-    allowed = set(basis_forms) | set(target_forms)
+    basis_forms = (FORM_M, FORM_N)
     maxweight = 0
     for t in ts:
-        if any(f not in allowed for f in t.support):
+        if any(f not in G2_FORMS for f in t.support):
             raise ValueError("unsupported form system")
         maxweight = max(maxweight, t.weight)
     watchdog = 4 ** maxweight
@@ -289,6 +287,6 @@ def reduce_to_tornheim(ts: TermSum,
         nonbasis = [f for f, _ in t.exponents if f not in basis_forms]
         if len(nonbasis) != 1 or any(t.exponent(f) < 1 for f in basis_forms):
             raise ValueError(f"term {t} did not reduce to basis-pair + target shape")
-        if nonbasis[0] not in target_forms:
+        if nonbasis[0] not in G2_TARGETS:
             raise ValueError(f"terminal form {nonbasis[0]} is not a target")
     return result

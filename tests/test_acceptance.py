@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from mpmath import mp
@@ -21,8 +21,8 @@ from tornheim.constants import (PI, SymbolicValue, clausen_s, dirichlet_l3,
 from tornheim.g2 import G2Request, evaluate_g2, request_term_sum
 from tornheim.numeric import (Precision, eval_constant, eval_symbolic,
                               eval_tornheim)
-from tornheim.parity import (EvalRequest, TruncatedBiSeries, alpha_coeffs,
-                             alpha_tilde_coeffs, closed_form, g_coefficient)
+from tornheim.parity import (EvalRequest, alpha_coeffs, alpha_tilde_coeffs,
+                             closed_form, g_coefficient)
 from tornheim.pfd import (FORM_M, FORM_N, G2_TARGETS, LinearForm, TermProduct,
                           TermSum, reduce_to_tornheim, verify_step)
 
@@ -233,12 +233,17 @@ def test_10_exponential_shift_identity(capsys):
     degree = 10
     ok = True
     for b, d in [(2, 1), (3, 2), (4, 3)]:
-        lhs = TruncatedBiSeries.exp_t1(-d, degree) * alpha_coeffs(b, degree)
-        rhs = alpha_coeffs(b, degree)
-        for c in range(1, d + 1):
-            rhs = rhs + alpha_tilde_coeffs(b, c, degree)
-        ok = ok and lhs == rhs
-        for c in range(1, b):
-            tilde = alpha_tilde_coeffs(b, c, degree)
-            ok = ok and all(tilde.coeff(0, s) == 0 for s in range(degree + 1))
+        # e^{-d t1} alpha_b = alpha_b + sum_{c<=d} atilde_{b,c}, the left
+        # side as a Cauchy sum in t1
+        alpha = alpha_coeffs(b, degree, degree)
+        tildes = [alpha_tilde_coeffs(b, c, degree, degree)
+                  for c in range(1, b)]
+        for r in range(degree + 1):
+            for s in range(degree + 1):
+                lhs = sum(F((-d) ** p, factorial(p)) * alpha[(r - p, s)]
+                          for p in range(r + 1))
+                rhs = alpha[(r, s)] + sum(t[(r, s)] for t in tildes[:d])
+                ok = ok and lhs == rhs
+        for tilde in tildes:
+            ok = ok and all(tilde[(0, s)] == 0 for s in range(degree + 1))
     report(capsys, "10 exponential shift identity, degree 10 exact", ok)

@@ -43,6 +43,25 @@ def test_even_weight_is_usage_error():
     assert "weight must be odd" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--a", "0", "--b", "1", "--k", "1", "1", "3"),
+    ("eval", "--a", "1", "--b", "1", "--k", "0", "1", "4"),
+    ("g2", "--k", "0", "1", "1", "1", "1", "3"),
+])
+def test_non_positive_parameters_are_usage_errors(argv):
+    code, _, err = run_cli(*argv)
+    assert code == 2
+    assert ">= 1" in err
+
+
+def test_weight_three_verifies():
+    code, out, _ = run_cli("eval", "--a", "1", "--b", "1", "--k", "1", "1", "1",
+                           "--verify")
+    assert code == 0
+    assert out.splitlines()[0] == "2ζ(3)"
+    assert "# verified" in out
+
+
 def test_eval_verify_passes():
     code, out, _ = run_cli("eval", "--a", "1", "--b", "3", "--k", "1", "1", "3",
                            "--verify")
@@ -147,6 +166,13 @@ def test_precision_env_default(monkeypatch):
                            "--format", "json", "--verify")
     assert code == 0
     assert json.loads(out)["check"]["digits"] == 45
+
+
+def test_bad_precision_env_is_usage_error(monkeypatch):
+    monkeypatch.setenv("TORNHEIM_PREC", "abc")
+    code, _, err = run_cli("eval", "--a", "1", "--b", "1", "--k", "1", "1", "3")
+    assert code == 2
+    assert "TORNHEIM_PREC" in err
 
 
 def test_insufficient_precision_is_usage_error():

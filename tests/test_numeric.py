@@ -209,8 +209,6 @@ def test_gcd_is_folded_out_of_forms():
 def test_eval_tornheim_validation():
     with pytest.raises(ValueError):
         eval_tornheim(0, 1, 1, 1, 3)
-    with pytest.raises(ValueError):
-        eval_tornheim(1, 1, 1, 1, 1)    # weight 3 < 4
 
 
 def test_eval_g2_series_validation():
