@@ -10,8 +10,8 @@ from .constants import (SymbolicValue, exact_L_value, imag_part, real_part,
                         to_text)
 from .g2 import G2ClosedForm, G2Request, VerificationError, evaluate_g2
 from .numeric import (NumericCheckRecord, Precision, PrecisionError,
-                      check_values, eval_constant, eval_g2_series,
-                      eval_symbolic, eval_tornheim, lattice_sum)
+                      check_values, eval_constant, eval_symbolic, lattice_sum,
+                      verify)
 from .parity import EvalRequest, closed_form
 
 __all__ = [
@@ -21,6 +21,5 @@ __all__ = [
     "EvalRequest", "closed_form",
     "G2Request", "G2ClosedForm", "evaluate_g2", "VerificationError",
     "Precision", "PrecisionError", "NumericCheckRecord", "check_values",
-    "eval_constant", "eval_symbolic", "eval_tornheim", "eval_g2_series",
-    "lattice_sum",
+    "eval_constant", "eval_symbolic", "lattice_sum", "verify",
 ]

@@ -18,8 +18,7 @@ import sys
 from . import __version__, constants, pfd
 from .constants import to_dirichlet_basis, to_json_dict, to_latex, to_text
 from .g2 import G2Request, VerificationError, evaluate_g2
-from .numeric import (Precision, PrecisionError, check_values, eval_symbolic,
-                      eval_tornheim)
+from .numeric import Precision, PrecisionError, verify
 from .parity import EvalRequest, closed_form
 
 
@@ -110,9 +109,7 @@ def cmd_eval(parser, args) -> int:
         value = to_dirichlet_basis(value, req.weight)
     check = None
     if args.verify:
-        series = eval_tornheim(args.a, args.b, *args.k, precision=prec)
-        check = check_values(eval_symbolic(value, prec), series, prec,
-                             label="closed form vs series")
+        check = verify({"closed form": value}, req.factors, prec)["closed form"]
     if args.format == "latex":
         print(to_latex(value))
     elif args.format == "text":
@@ -175,8 +172,8 @@ def _compositions(weight: int):
 def cmd_table(parser, args) -> int:
     if args.weight % 2 == 0:
         parser.error("weight must be odd")
-    if args.weight < 5:
-        parser.error("weight must be >= 5")
+    if args.weight < 3:
+        parser.error("weight must be >= 3")
     pairs = []
     for spec in args.pairs:
         try:
@@ -193,10 +190,10 @@ def cmd_table(parser, args) -> int:
             record = _record_head("table")
             record["request"] = {"a": a, "b": b, "k": list(ks)}
             try:
-                value = closed_form(EvalRequest(a, b, *ks))
-                series = eval_tornheim(a, b, *ks, precision=prec)
-                check = check_values(eval_symbolic(value, prec), series, prec,
-                                     label="closed form vs series")
+                req = EvalRequest(a, b, *ks)
+                value = closed_form(req)
+                check = verify({"closed form": value}, req.factors,
+                               prec)["closed form"]
                 record["result"] = to_json_dict(value)
                 record["text"] = to_text(value)
                 record["check"] = check.as_json_dict()

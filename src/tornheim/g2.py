@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import numeric, pfd
+from . import pfd
 from .constants import (SymbolicValue, to_dirichlet_basis, to_json_dict,
                         to_latex, to_text)
-from .numeric import (DEFAULT_PRECISION, NumericCheckRecord, Precision,
-                      check_values, eval_g2_series, eval_symbolic)
+from .numeric import DEFAULT_PRECISION, NumericCheckRecord, Precision, verify
 from .parity import EvalRequest, closed_form
 
 
@@ -43,6 +42,11 @@ class G2Request:
     @property
     def weight(self) -> int:
         return sum(self.ks)
+
+    @property
+    def factors(self) -> list[tuple[int, int, int]]:
+        """(cm, cn, exponent) of the six G2 forms for the lattice oracle."""
+        return [(f.cm, f.cn, k) for f, k in zip(pfd.G2_FORMS, self.ks)]
 
 
 @dataclass
@@ -111,15 +115,10 @@ def evaluate_g2(req: G2Request,
         clausen = clausen + closed_form(EvalRequest(a, b, e1, e2, e3)) * t.coeff
     dirichlet = to_dirichlet_basis(clausen, req.weight)
 
-    series = eval_g2_series(req.ks, precision)
-    checks = {
-        "clausen": check_values(eval_symbolic(clausen, precision), series,
-                                precision, label="clausen vs series"),
-        "dirichlet": check_values(eval_symbolic(dirichlet, precision), series,
-                                  precision, label="dirichlet vs series"),
-    }
-    if not all(c.passed for c in checks.values()):
-        failed = [c for c in checks.values() if not c.passed]
+    checks = verify({"clausen": clausen, "dirichlet": dirichlet}, req.factors,
+                    precision)
+    failed = [c for c in checks.values() if not c.passed]
+    if failed:
         raise VerificationError(
             "numeric check failed: " + "; ".join(
                 f"{c.label}: residual {c.rel_residual}" for c in failed))

@@ -321,10 +321,11 @@ def lattice_sum(factors, precision: Precision = DEFAULT_PRECISION,
                 order: int = 10):
     """sum_{m,n>=1} prod (cm*m+cn*n)^-beta with a rigorous tail bound.
 
-    factors: iterable of (cm, cn, beta).  Returns (value, bound).  The
-    orientation (which variable is summed exactly) is chosen to maximize
-    the smallest Hurwitz shift unless `swap` forces it; `cutoff` seeds
-    the outer cutoff M, which doubles until the bound meets tolerance.
+    factors: iterable of (cm, cn, beta).  Returns (value, bound, M) with
+    M the final outer cutoff.  The orientation (which variable is summed
+    exactly) is chosen to maximize the smallest Hurwitz shift unless
+    `swap` forces it; `cutoff` seeds the outer cutoff M, which doubles
+    until the bound meets tolerance.
     """
     merged, scale = _normalize_factors(factors)
 
@@ -346,28 +347,22 @@ def lattice_sum(factors, precision: Precision = DEFAULT_PRECISION,
         value, bound = _lattice_pass(merged, scale, precision.dps, M, order)
         target = mp.mpf(precision.tolerance) * max(abs(value), mp.mpf("1e-30"))
         if bound <= target:
-            return value, bound
+            return value, bound, M
         if 2 * M > _MAX_CUTOFF:
             raise PrecisionError(
                 f"tail bound {mp.nstr(bound, 3)} above tolerance at cutoff {M}")
         M *= 2
 
 
-def eval_tornheim(a: int, b: int, k1: int, k2: int, k3: int,
-                  precision: Precision = DEFAULT_PRECISION):
-    """sum_{m,n>0} m^-k1 n^-k2 (a m + b n)^-k3 numerically."""
-    if min(a, b, k1, k2, k3) < 1:
-        raise ValueError("all parameters must be >= 1")
-    value, _ = lattice_sum([(1, 0, k1), (0, 1, k2), (a, b, k3)], precision)
-    return value
+def verify(values: dict[str, SymbolicValue], factors,
+           precision: Precision = DEFAULT_PRECISION) -> dict[str, NumericCheckRecord]:
+    """Check each named closed form against one lattice sum over `factors`.
 
-
-def eval_g2_series(ks, precision: Precision = DEFAULT_PRECISION):
-    """The six-form double series over m,n>0 with exponents k1..k6."""
-    ks = tuple(ks)
-    if len(ks) != 6 or min(ks) < 1:
-        raise ValueError("need six exponents >= 1")
-    forms = [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3)]
-    value, _ = lattice_sum([(cm, cn, k) for (cm, cn), k in zip(forms, ks)],
-                           precision)
-    return value
+    Records are keyed like `values`, labelled "<name> vs series" and
+    carry the oracle's final cutoff; deciding what a failure means is
+    left to the caller.
+    """
+    series, _, cutoff = lattice_sum(factors, precision)
+    return {name: check_values(eval_symbolic(v, precision), series, precision,
+                               label=f"{name} vs series", cutoff=cutoff)
+            for name, v in values.items()}

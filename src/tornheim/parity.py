@@ -55,6 +55,11 @@ class EvalRequest:
         return self.k1 + self.k2 + self.k3
 
     @property
+    def factors(self) -> list[tuple[int, int, int]]:
+        """(cm, cn, exponent) of m, n and a m + b n for the lattice oracle."""
+        return [(1, 0, self.k1), (0, 1, self.k2), (self.a, self.b, self.k3)]
+
+    @property
     def swapped(self) -> "EvalRequest":
         return EvalRequest(self.b, self.a, self.k2, self.k1, self.k3)
 

@@ -20,7 +20,7 @@ from tornheim.constants import (PI, SymbolicValue, clausen_s, dirichlet_l3,
                                 imag_part, mono_weight, zeta)
 from tornheim.g2 import G2Request, evaluate_g2, request_term_sum
 from tornheim.numeric import (Precision, eval_constant, eval_symbolic,
-                              eval_tornheim)
+                              lattice_sum)
 from tornheim.parity import (EvalRequest, alpha_coeffs, alpha_tilde_coeffs,
                              closed_form, g_coefficient)
 from tornheim.pfd import (FORM_M, FORM_N, G2_TARGETS, LinearForm, TermProduct,
@@ -98,9 +98,8 @@ def test_04_g2_weight_seven_clausen_coefficient(capsys):
     exact_ok = (c_z7 == F(2507, 1296) and c_pz5 == F(-505, 648))
 
     # solve the series for the remaining coefficient and compare
-    from tornheim.numeric import eval_g2_series
     with mp.workdps(PREC.dps):
-        series = eval_g2_series((1, 1, 1, 1, 1, 2), PREC)
+        series = lattice_sum(G2Request((1, 1, 1, 1, 1, 2)).factors, PREC)[0]
         rest = (series
                 - mp.mpf(2507) / 1296 * eval_constant(zeta(7), PREC)
                 + mp.mpf(505) / 648 * mp.pi ** 2 * eval_constant(zeta(5), PREC))
@@ -137,7 +136,8 @@ def test_05_reduction_matches_reference_combination(capsys):
             e2 = t.exponent(FORM_N)
             form, e3 = [(f, e) for f, e in t.exponents
                         if f not in (FORM_M, FORM_N)][0]
-            x = eval_tornheim(form.cm, form.cn, e1, e2, e3, precision=PREC)
+            x = lattice_sum(EvalRequest(form.cm, form.cn, e1, e2, e3).factors,
+                            PREC)[0]
             total += mp.mpf(t.coeff.numerator) / t.coeff.denominator * x
         return total
 
@@ -160,7 +160,7 @@ def test_06_grid_closed_forms_match_series(capsys):
     worst = mp.mpf(0)
     for a, b, ks, value in grid_closed_forms():
         lhs = eval_symbolic(value, PREC)
-        rhs = eval_tornheim(a, b, *ks, precision=PREC)
+        rhs = lattice_sum(EvalRequest(a, b, *ks).factors, PREC)[0]
         with mp.workdps(PREC.dps):
             rel = abs(lhs - rhs) / abs(rhs)
             worst = max(worst, rel)

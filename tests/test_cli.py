@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from tornheim import __version__
-from tornheim import cli
+from tornheim import cli, numeric
 from tornheim.constants import from_json_dict
 from tornheim.parity import EvalRequest, closed_form
 
@@ -90,14 +90,40 @@ def test_ruleset_hash_is_stable():
     int(h1, 16)     # hex digest prefix
 
 
-def test_verification_failure_exits_three(monkeypatch):
+def wrong_oracle(*args, **kwargs):
     from mpmath import mp
-    monkeypatch.setattr(cli, "eval_tornheim",
-                        lambda *a, **k: mp.mpf("1.25"))
+    return mp.mpf("1.25"), mp.mpf(0), 40
+
+
+def test_verification_failure_exits_three(monkeypatch):
+    monkeypatch.setattr(numeric, "lattice_sum", wrong_oracle)
     code, out, _ = run_cli("eval", "--a", "1", "--b", "1", "--k", "1", "1", "3",
                            "--verify")
     assert code == 3
     assert "FAILED" in out
+
+
+def test_check_records_carry_the_oracle_cutoff(monkeypatch):
+    code, out, _ = run_cli("eval", "--a", "1", "--b", "2", "--k", "1", "1", "3",
+                           "--verify", "--format", "json")
+    assert code == 0
+    cutoff = json.loads(out)["check"]["cutoff"]
+    assert isinstance(cutoff, int) and cutoff >= 40
+
+    calls = []
+    oracle = numeric.lattice_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(numeric, "lattice_sum", counted)
+    code, out, _ = run_cli("g2", "--k", "2", "1", "1", "1", "1", "1",
+                           "--format", "json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(calls) == 1
+    assert checks["clausen"]["cutoff"] == checks["dirichlet"]["cutoff"] >= 40
 
 
 def test_g2_text_output_with_reduction():
@@ -145,14 +171,23 @@ def test_table_record_counts():
 
 def test_table_validation():
     assert run_cli("table", "--weight", "4", "--pairs", "1,1")[0] == 2
-    assert run_cli("table", "--weight", "3", "--pairs", "1,1")[0] == 2
+    assert run_cli("table", "--weight", "1", "--pairs", "1,1")[0] == 2
     assert run_cli("table", "--weight", "5", "--pairs", "1;1")[0] == 2
     assert run_cli("table", "--weight", "5", "--pairs", "0,1")[0] == 2
 
 
+def test_table_weight_three():
+    code, out, _ = run_cli("table", "--weight", "3", "--pairs", "1,1", "1,2",
+                           "2,3", "--format", "json")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 3 and all(r["passed"] for r in records)
+    assert records[0]["request"] == {"a": 1, "b": 1, "k": [1, 1, 1]}
+    assert records[0]["text"] == "2ζ(3)"
+
+
 def test_table_reports_per_record_failure(monkeypatch):
-    from mpmath import mp
-    monkeypatch.setattr(cli, "eval_tornheim", lambda *a, **k: mp.mpf("1.25"))
+    monkeypatch.setattr(numeric, "lattice_sum", wrong_oracle)
     code, out, _ = run_cli("table", "--weight", "5", "--pairs", "1,1",
                            "--format", "json")
     assert code == 3

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from tornheim import g2 as g2mod
+from tornheim import numeric
 from tornheim.constants import (PI, SymbolicValue, clausen_s, dirichlet_l3,
                                 from_json_dict, mono_weight, zeta)
 from tornheim.g2 import (G2Request, VerificationError, evaluate_g2,
@@ -89,8 +89,9 @@ def test_higher_weight_case():
 
 
 def test_failed_check_raises(monkeypatch):
-    monkeypatch.setattr(g2mod, "eval_g2_series",
-                        lambda ks, precision: mp.mpf("0.123456789"))
+    monkeypatch.setattr(numeric, "lattice_sum",
+                        lambda factors, precision: (mp.mpf("0.123456789"),
+                                                    mp.mpf(0), 40))
     with pytest.raises(VerificationError, match="residual"):
         evaluate_g2(G2Request((2, 1, 1, 1, 1, 1)))
 

@@ -10,10 +10,11 @@ from mpmath import mp
 from tornheim.constants import (SymbolicValue, IMAG_UNIT, PI, SQRT3,
                                 clausen_c, clausen_s, dirichlet_l3, zeta)
 from tornheim.numeric import (DEFAULT_PRECISION, Precision, PrecisionError,
-                              check_values, eval_constant, eval_g2_series,
-                              eval_symbolic, eval_tornheim, lattice_sum,
-                              _partial_fraction_coeffs)
+                              check_values, eval_constant, eval_symbolic,
+                              lattice_sum, verify, _partial_fraction_coeffs)
 from tornheim import numeric
+from tornheim.parity import EvalRequest
+from tornheim.pfd import G2_FORMS
 
 F = Fraction
 PREC = Precision(digits=30, tolerance=1e-12)
@@ -107,7 +108,7 @@ def test_partial_fractions_residues_sum_to_zero():
 
 def test_classical_anchor_weight_three():
     # sum 1/(m n (m+n)) = 2 zeta(3), Tornheim's classical value
-    v, bound = lattice_sum([(1, 0, 1), (0, 1, 1), (1, 1, 1)], PREC)
+    v, bound, _ = lattice_sum([(1, 0, 1), (0, 1, 1), (1, 1, 1)], PREC)
     with mp.workdps(PREC.dps):
         assert abs(v - 2 * mp.zeta(3)) <= bound + mp.mpf("1e-30")
         assert abs(v - 2 * mp.zeta(3)) <= mp.mpf("1e-13")
@@ -115,7 +116,7 @@ def test_classical_anchor_weight_three():
 
 def test_classical_anchor_weight_six():
     # sum 1/(m^2 n^2 (m+n)^2) = pi^6 / 2835
-    v, _ = lattice_sum([(1, 0, 2), (0, 1, 2), (1, 1, 2)], PREC)
+    v = lattice_sum([(1, 0, 2), (0, 1, 2), (1, 1, 2)], PREC)[0]
     with mp.workdps(PREC.dps):
         assert abs(v - mp.pi ** 6 / 2835) <= mp.mpf("1e-30")
 
@@ -128,7 +129,7 @@ def test_exact_recurrence(a, b, k):
     def ev(k1, k2, k3):
         factors = [(cm, cn, e) for (cm, cn), e
                    in zip(((1, 0), (0, 1), (a, b)), (k1, k2, k3)) if e]
-        return lattice_sum(factors, PREC)
+        return lattice_sum(factors, PREC)[:2]
 
     k1, k2, k3 = k
     t, bt = ev(k1, k2, k3)
@@ -142,14 +143,14 @@ def test_exact_recurrence(a, b, k):
 
 def test_orientation_swap_agrees():
     factors = [(1, 0, 1), (0, 1, 2), (1, 3, 2)]
-    v1, b1 = lattice_sum(factors, PREC, swap=False)
-    v2, b2 = lattice_sum(factors, PREC, swap=True)
+    v1, b1, _ = lattice_sum(factors, PREC, swap=False)
+    v2, b2, _ = lattice_sum(factors, PREC, swap=True)
     with mp.workdps(PREC.dps):
         assert abs(v1 - v2) <= b1 + b2
 
 
 def test_brute_force_partial_sum_is_a_lower_bound():
-    full = eval_tornheim(1, 3, 1, 2, 2, precision=PREC)
+    full = lattice_sum(EvalRequest(1, 3, 1, 2, 2).factors, PREC)[0]
     M = 200
     with mp.workdps(25):
         brute = mp.fsum(1 / (mp.mpf(m) * n ** 2 * (m + 3 * n) ** 2)
@@ -161,8 +162,8 @@ def test_brute_force_partial_sum_is_a_lower_bound():
 def test_bound_is_honest_across_precisions():
     factors = [(1, 0, 1), (0, 1, 1), (2, 3, 3)]
     tight = Precision(digits=45, tolerance=1e-35)
-    v_ref, bound_ref = lattice_sum(factors, tight)
-    v, bound = lattice_sum(factors, PREC)
+    v_ref, bound_ref, _ = lattice_sum(factors, tight)
+    v, bound, _ = lattice_sum(factors, PREC)
     with mp.workdps(tight.dps):
         assert bound_ref <= mp.mpf("1e-35") * abs(v_ref)
         assert abs(v - v_ref) <= bound + bound_ref
@@ -170,11 +171,17 @@ def test_bound_is_honest_across_precisions():
 
 def test_cutoff_seed_is_escalated_until_bound_met():
     factors = [(1, 0, 2), (0, 1, 2), (1, 1, 1)]
-    v_small, bound = lattice_sum(factors, PREC, cutoff=4)
-    v_auto, bound_auto = lattice_sum(factors, PREC)
+    doublings_of_seed = [4 << j for j in range(15)]
+    v_small, bound, cutoff = lattice_sum(factors, PREC, cutoff=4)
+    v_auto, bound_auto, _ = lattice_sum(factors, PREC)
     with mp.workdps(PREC.dps):
         assert bound <= mp.mpf(PREC.tolerance) * abs(v_small)
         assert abs(v_small - v_auto) <= bound + bound_auto
+    assert cutoff in doublings_of_seed
+    # a tighter tolerance is not met at the seed itself
+    _, _, cutoff = lattice_sum(factors, Precision(digits=30, tolerance=1e-20),
+                               cutoff=4)
+    assert cutoff in doublings_of_seed and cutoff > 4
 
 
 def test_unreachable_tolerance_raises(monkeypatch):
@@ -198,28 +205,29 @@ def test_divergent_inputs_rejected():
 
 
 def test_gcd_is_folded_out_of_forms():
-    v1, b1 = lattice_sum([(1, 0, 2), (0, 1, 2), (2, 4, 2)], PREC)
-    v2, b2 = lattice_sum([(1, 0, 2), (0, 1, 2), (1, 2, 2)], PREC)
+    v1, b1, _ = lattice_sum([(1, 0, 2), (0, 1, 2), (2, 4, 2)], PREC)
+    v2, b2, _ = lattice_sum([(1, 0, 2), (0, 1, 2), (1, 2, 2)], PREC)
     with mp.workdps(PREC.dps):
         assert abs(v1 - v2 / 4) <= b1 + b2 / 4
 
 
-# -------------------------------------------------------- series wrappers
-
-def test_eval_tornheim_validation():
-    with pytest.raises(ValueError):
-        eval_tornheim(0, 1, 1, 1, 3)
-
-
-def test_eval_g2_series_validation():
-    with pytest.raises(ValueError):
-        eval_g2_series((1, 1, 1, 1, 1))
-    with pytest.raises(ValueError):
-        eval_g2_series((1, 1, 1, 1, 1, 0))
+def test_verify_records_share_one_oracle_value():
+    # sum 1/(m n (m+n)) = 2 zeta(3); a wrong value fails on its own record
+    right = SymbolicValue.from_factors(2, [(zeta(3), 1)])
+    wrong = SymbolicValue.from_factors(F(201, 100), [(zeta(3), 1)])
+    recs = verify({"right": right, "wrong": wrong},
+                  EvalRequest(1, 1, 1, 1, 1).factors, PREC)
+    assert list(recs) == ["right", "wrong"]
+    assert [r.label for r in recs.values()] == ["right vs series",
+                                                "wrong vs series"]
+    assert recs["right"].passed and not recs["wrong"].passed
+    assert recs["right"].rhs == recs["wrong"].rhs
+    assert recs["right"].cutoff == recs["wrong"].cutoff >= 40
 
 
 def test_eval_g2_series_matches_brute_force():
-    full = eval_g2_series((1, 1, 1, 1, 1, 1), PREC)
+    # weight 6, so straight from the forms: G2Request takes odd weight only
+    full = lattice_sum([(f.cm, f.cn, 1) for f in G2_FORMS], PREC)[0]
     M = 160
     with mp.workdps(25):
         brute = mp.fsum(
