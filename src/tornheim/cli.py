@@ -18,7 +18,7 @@ import sys
 from . import __version__, constants, pfd
 from .constants import to_dirichlet_basis, to_json_dict, to_latex, to_text
 from .g2 import G2Request, VerificationError, evaluate_g2
-from .numeric import Precision, PrecisionError, verify
+from .numeric import Precision, verify
 from .parity import EvalRequest, closed_form
 
 
@@ -184,7 +184,7 @@ def cmd_table(parser, args) -> int:
             parser.error(f"bad pair {spec!r}; parameters must be >= 1")
         pairs.append((a, b))
     prec = _precision(parser, args)
-    failures = 0
+    failures = errors = 0
     for a, b in pairs:
         for ks in _compositions(args.weight):
             record = _record_head("table")
@@ -203,13 +203,13 @@ def cmd_table(parser, args) -> int:
             except Exception as exc:  # keep streaming; report per record
                 record["error"] = str(exc)
                 record["passed"] = False
-                failures += 1
+                errors += 1
             if args.format == "text":
                 mark = "ok " if record["passed"] else "FAIL"
                 print(f"{mark} a={a} b={b} k={ks}: {record.get('text', record.get('error'))}")
             else:
                 _emit(record)
-    return 3 if failures else 0
+    return 1 if errors else 3 if failures else 0
 
 
 def main(argv=None) -> int:
@@ -224,7 +224,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, PrecisionError) as exc:
+    except (ValueError, RuntimeError) as exc:  # incl. PrecisionError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -103,16 +103,21 @@ def request_term_sum(req: G2Request) -> pfd.TermSum:
         1, list(zip(pfd.G2_FORMS, req.ks)))])
 
 
+def reduced_closed_form(reduced: pfd.TermSum) -> SymbolicValue:
+    """Clausen-basis closed form of a reduced sum of zeta_{a,b} terms."""
+    clausen = SymbolicValue.zero()
+    for t in reduced:
+        a, b, (e1, e2, e3) = _term_parameters(t)
+        clausen = clausen + closed_form(EvalRequest(a, b, e1, e2, e3)) * t.coeff
+    return clausen
+
+
 def evaluate_g2(req: G2Request,
                 precision: Precision = DEFAULT_PRECISION,
                 collect_trace: bool = False) -> G2ClosedForm:
     trace: list | None = [] if collect_trace else None
     reduced = pfd.reduce_to_tornheim(request_term_sum(req), trace=trace)
-
-    clausen = SymbolicValue.zero()
-    for t in reduced:
-        a, b, (e1, e2, e3) = _term_parameters(t)
-        clausen = clausen + closed_form(EvalRequest(a, b, e1, e2, e3)) * t.coeff
+    clausen = reduced_closed_form(reduced)
     dirichlet = to_dirichlet_basis(clausen, req.weight)
 
     checks = verify({"clausen": clausen, "dirichlet": dirichlet}, req.factors,

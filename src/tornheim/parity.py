@@ -71,17 +71,15 @@ def _coeff_table(front: list, b: int, rows: int, cols: int) -> dict:
     f_p1 B_p2(0)/p2! (-1)^s b^(r-p1) / ((r-p1)! (s-p2)! (r-p1+s-p2+1))."""
     bern = [bernoulli_number(p, "at-zero") / factorial(p)
             for p in range(cols + 1)]
-    table = {}
-    for r in range(rows + 1):
-        for s in range(cols + 1):
-            total = Fraction(0)
-            for p1 in (p for p in range(r + 1) if front[p]):
-                q1 = r - p1
-                inner = sum(bern[p2] / (factorial(s - p2) * (q1 + s - p2 + 1))
-                            for p2 in range(s + 1) if bern[p2])
-                total += front[p1] * b ** q1 / factorial(q1) * inner
-            table[(r, s)] = (-1) ** s * total
-    return table
+    # the sum over p2 depends on q1 = r - p1 and s only: one per (q1, s)
+    inner = {(q1, s): Fraction(b ** q1, factorial(q1)) * sum(
+                 bern[p2] / (factorial(s - p2) * (q1 + s - p2 + 1))
+                 for p2 in range(s + 1) if bern[p2])
+             for q1 in range(rows + 1) for s in range(cols + 1)}
+    return {(r, s): (-1) ** s * sum(
+                (front[p1] * inner[(r - p1, s)] for p1 in range(r + 1)
+                 if front[p1]), Fraction(0))
+            for r in range(rows + 1) for s in range(cols + 1)}
 
 
 def alpha_coeffs(b: int, rows: int, cols: int) -> dict:

@@ -71,22 +71,15 @@ def relation_scale(u: LinearForm, w: LinearForm, rel: Relation) -> Fraction:
     return c
 
 
-# one canonical relation per unordered pair of non-basis G2 forms (keys
-# sorted by form order); the eliminator is n in every case
-_R = Relation
-G2_RELATIONS = {
-    (LinearForm(1, 1), LinearForm(1, 2)): _R(Fraction(-1), Fraction(1), FORM_N),
-    (LinearForm(1, 1), LinearForm(1, 3)): _R(Fraction(-1), Fraction(1), FORM_N),
-    (LinearForm(1, 1), LinearForm(2, 3)): _R(Fraction(-2), Fraction(1), FORM_N),
-    (LinearForm(1, 2), LinearForm(1, 3)): _R(Fraction(-1), Fraction(1), FORM_N),
-    (LinearForm(1, 2), LinearForm(2, 3)): _R(Fraction(2), Fraction(-1), FORM_N),
-    (LinearForm(1, 3), LinearForm(2, 3)): _R(Fraction(2), Fraction(-1), FORM_N),
-}
+def derive_relation(u: LinearForm, w: LinearForm) -> Relation:
+    """The relation +-((w.cn) u - (u.cn) w) = c m that eliminates n, with
+    the sign that makes c = |u.cm w.cn - u.cn w.cm| positive."""
+    sign = 1 if u.cm * w.cn > u.cn * w.cm else -1
+    return Relation(Fraction(sign * w.cn), Fraction(-sign * u.cn), FORM_M)
 
-RELATIONS_DOC = "g2-relations/1: " + "; ".join(
-    f"{rel.alpha}({u})+{rel.beta}({w})->({rel.v})"
-    for (u, w), rel in sorted(G2_RELATIONS.items(),
-                              key=lambda kv: (kv[0][0].sort_key, kv[0][1].sort_key)))
+
+RELATIONS_DOC = ("g2-relations/2: for the two smallest non-basis forms u, w "
+                 "of a term, +-((w.cn)u - (u.cn)w) = c m with c > 0")
 
 
 @dataclass(frozen=True)
@@ -240,18 +233,14 @@ def trace_to_json(trace) -> list:
     return out
 
 
-def reduce_to_tornheim(ts: TermSum,
-                       relations: dict | None = None,
-                       verify: bool = True,
-                       trace: list | None = None) -> TermSum:
+def reduce_to_tornheim(ts: TermSum, trace: list | None = None) -> TermSum:
     """Rewrite every term down to support {m, n, L} with L a target form.
 
     Deterministic strategy: in each term take the two smallest distinct
-    non-basis forms and eliminate the pair with the table relation.  Each
-    step is verified exactly when `verify` is set; a step-count watchdog
-    of 4^weight guards termination.
+    non-basis forms and eliminate the pair through m with derive_relation.
+    Each step is verified exactly; a step-count watchdog of 4^weight
+    guards termination.
     """
-    relations = G2_RELATIONS if relations is None else relations
     basis_forms = (FORM_M, FORM_N)
     maxweight = 0
     for t in ts:
@@ -269,15 +258,12 @@ def reduce_to_tornheim(ts: TermSum,
             done.append(t)
             continue
         u, w = nonbasis[0], nonbasis[1]
-        try:
-            rel = relations[(u, w)]
-        except KeyError:
-            raise ValueError(f"no relation for the pair ({u}, {w})") from None
+        rel = derive_relation(u, w)
         pieces = split_pair(t, u, w, rel)
         steps += 1
         if steps > watchdog:
             raise RuntimeError("rewrite exceeded its step budget")
-        if verify and not verify_step(TermSum.make([t]), pieces):
+        if not verify_step(TermSum.make([t]), pieces):
             raise RuntimeError(f"rewrite step failed exact verification on {t}")
         if trace is not None:
             trace.append(RewriteStep(t, u, w, rel, pieces))

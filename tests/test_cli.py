@@ -101,6 +101,35 @@ def test_verification_failure_exits_three(monkeypatch):
                            "--verify")
     assert code == 3
     assert "FAILED" in out
+    # VerificationError is a RuntimeError, yet keeps its own exit code
+    code, _, err = run_cli("g2", "--k", "2", "1", "1", "1", "1", "1")
+    assert code == 3
+    assert "verification failed" in err
+
+
+def broken_oracle(*args, **kwargs):
+    raise RuntimeError("broken oracle invariant")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--a", "1", "--b", "1", "--k", "1", "1", "3", "--verify"),
+    ("g2", "--k", "2", "1", "1", "1", "1", "1"),
+])
+def test_internal_error_exits_one(monkeypatch, argv):
+    monkeypatch.setattr(numeric, "lattice_sum", broken_oracle)
+    code, _, err = run_cli(*argv)
+    assert code == 1
+    assert "error: broken oracle invariant" in err
+
+
+def test_table_internal_error_exits_one(monkeypatch):
+    monkeypatch.setattr(numeric, "lattice_sum", broken_oracle)
+    code, out, _ = run_cli("table", "--weight", "3", "--pairs", "1,1",
+                           "--format", "json")
+    assert code == 1
+    [record] = [json.loads(line) for line in out.splitlines()]
+    assert record["error"] == "broken oracle invariant"
+    assert record["passed"] is False
 
 
 def test_check_records_carry_the_oracle_cutoff(monkeypatch):

@@ -1,17 +1,19 @@
 """Partial-fraction rewriting: the atomic split, exact step verification,
-the canonical relation table, and the full reducer."""
+the derived relations, and the full reducer."""
 import random
 from fractions import Fraction
 
 import pytest
 
-from tornheim.pfd import (FORM_M, FORM_N, G2_FORMS, G2_RELATIONS, G2_TARGETS,
-                          LinearForm, Relation, TermProduct, TermSum,
+from tornheim import pfd
+from tornheim.pfd import (FORM_M, FORM_N, G2_FORMS, G2_TARGETS, LinearForm,
+                          Relation, TermProduct, TermSum, derive_relation,
                           reduce_to_tornheim, relation_scale, split_pair,
                           trace_to_json, verify_step)
 
 F = Fraction
 U, W = LinearForm(1, 1), LinearForm(1, 2)
+REL_N = Relation(F(-1), F(1), FORM_N)      # -(m+n) + (m+2n) = n
 
 
 def tp(coeff, *pairs):
@@ -34,17 +36,16 @@ def test_linear_form_validation():
 
 
 def test_relation_table_is_exact():
-    # every pair of target forms has a relation eliminating through n
-    for (u, w), rel in G2_RELATIONS.items():
+    # every pair of target forms has a derived relation eliminating through m
+    pairs = [(u, w) for i, u in enumerate(G2_TARGETS) for w in G2_TARGETS[i + 1:]]
+    assert len(pairs) == 6
+    for u, w in pairs:
+        rel = derive_relation(u, w)
         c = relation_scale(u, w, rel)
         assert c > 0
         assert rel.alpha * u.cm + rel.beta * w.cm == c * rel.v.cm
         assert rel.alpha * u.cn + rel.beta * w.cn == c * rel.v.cn
-        assert rel.v == FORM_N
-    pairs = {frozenset(k) for k in G2_RELATIONS}
-    want = {frozenset((a, b)) for i, a in enumerate(G2_TARGETS)
-            for b in G2_TARGETS[i + 1:]}
-    assert pairs == want
+        assert rel.v == FORM_M
 
 
 def test_relation_scale_rejects_inexact():
@@ -78,25 +79,22 @@ def test_term_sum_merges_like_terms():
 
 def test_split_pair_by_hand():
     # -(m+n) + (m+2n) = n:  1/(uw) = (1/n)(1/u - 1/w)
-    rel = G2_RELATIONS[(U, W)]
-    out = split_pair(tp(1, (U, 1), (W, 1)), U, W, rel)
+    out = split_pair(tp(1, (U, 1), (W, 1)), U, W, REL_N)
     assert TermSum.make([tp(1, (FORM_N, 1), (U, 1)),
                          tp(-1, (FORM_N, 1), (W, 1))]) == out
     assert verify_step(TermSum.make([tp(1, (U, 1), (W, 1))]), out)
 
 
 def test_split_pair_requires_both_forms():
-    rel = G2_RELATIONS[(U, W)]
     with pytest.raises(ValueError):
-        split_pair(tp(1, (U, 2)), U, W, rel)
+        split_pair(tp(1, (U, 2)), U, W, REL_N)
     with pytest.raises(ValueError):
-        split_pair(tp(1, (U, 1), (W, 1)), U, U, rel)
+        split_pair(tp(1, (U, 1), (W, 1)), U, U, REL_N)
 
 
 def test_split_preserves_weight_and_drops_pair():
-    rel = G2_RELATIONS[(U, W)]
     t = tp(F(3, 7), (FORM_M, 2), (U, 2), (W, 3))
-    out = split_pair(t, U, W, rel)
+    out = split_pair(t, U, W, REL_N)
     for piece in out:
         assert piece.weight == t.weight
         assert piece.exponent(U) == 0 or piece.exponent(W) == 0
@@ -104,9 +102,8 @@ def test_split_preserves_weight_and_drops_pair():
 
 
 def test_verify_step_catches_wrong_coefficient():
-    rel = G2_RELATIONS[(U, W)]
     t = tp(1, (U, 1), (W, 1))
-    out = split_pair(t, U, W, rel)
+    out = split_pair(t, U, W, REL_N)
     bad = TermSum(tuple(p.scaled(2) for p in out))
     assert not verify_step(TermSum.make([t]), bad)
     missing = TermSum.make(list(out)[:1])
@@ -140,13 +137,7 @@ def test_reduce_rejects_foreign_forms():
         reduce_to_tornheim(ts)
 
 
-def test_reduce_missing_relation():
-    ts = TermSum.make([tp(1, (FORM_M, 1), (FORM_N, 1), (U, 1), (W, 1))])
-    with pytest.raises(ValueError, match="no relation for the pair"):
-        reduce_to_tornheim(ts, relations={})
-
-
-def test_reduce_watchdog_stops_cycling_relations():
+def test_reduce_watchdog_stops_cycling_relations(monkeypatch):
     # a consistent but non-decreasing table: each pair eliminates into the
     # third target form, so the set never shrinks
     V3 = LinearForm(1, 3)
@@ -157,8 +148,9 @@ def test_reduce_watchdog_stops_cycling_relations():
     }
     ts = TermSum.make([tp(1, (FORM_M, 1), (FORM_N, 1),
                           (U, 1), (W, 1), (V3, 1))])
+    monkeypatch.setattr(pfd, "derive_relation", lambda u, w: cyclic[(u, w)])
     with pytest.raises(RuntimeError, match="step budget"):
-        reduce_to_tornheim(ts, relations=cyclic)
+        reduce_to_tornheim(ts)
 
 
 def test_trace_json_shape():
@@ -169,7 +161,7 @@ def test_trace_json_shape():
     assert data
     step = data[0]
     assert set(step) == {"term", "pair", "relation", "produced"}
-    assert step["relation"]["v"] == [0, 1]
+    assert step["relation"]["v"] == [1, 0]
     assert all(set(t) == {"coeff", "factors"} for t in step["produced"])
 
 
@@ -187,7 +179,7 @@ def test_random_products_reduce_verified():
         coeff = F(rng.randint(-9, 9) or 1, rng.randint(1, 9))
         t = TermProduct.make(coeff, list(zip(forms, exps)))
         trace = []
-        out = reduce_to_tornheim(TermSum.make([t]), trace=trace, verify=False)
+        out = reduce_to_tornheim(TermSum.make([t]), trace=trace)
         for st in trace:
             assert verify_step(TermSum.make([st.term]), st.produced)
         assert verify_step(TermSum.make([t]), out)
