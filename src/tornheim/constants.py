@@ -1,5 +1,5 @@
 """Symbolic constants: exact Q-linear combinations of monomials in
-pi, i, sqrt(3), zeta(j), Clausen values and Dirichlet L-values.
+pi, sqrt(3), zeta(j), Clausen values and Dirichlet L-values, all real.
 
 Conventions:
     C_j(q) = Re Li_j(e^{2 pi i q})      S_j(q) = Im Li_j(e^{2 pi i q})
@@ -9,8 +9,7 @@ Canonical form: Clausen angles are reduced mod 1 and reflected into
 (0, 1/2); the reducible angles ({0, 1/2, 1/3, 1/6} for C, {0, 1/2, 1/6}
 for S) are rewritten to rational multiples of zeta(j) or S_j(1/3), so
 equal values within the rule set have equal term maps and == is
-syntactic.  i is a symbol with exponent stored mod 4 (real_part does the
-projection); sqrt(3)^2 folds into the coefficient as 3.
+syntactic.  sqrt(3)^2 folds into the coefficient as 3.
 """
 from __future__ import annotations
 
@@ -21,8 +20,8 @@ import json
 
 from .arith import Rational, bernoulli_number, bernoulli_poly
 
-_KIND_ORDER = {"zeta": 0, "C": 1, "S": 2, "L3": 3, "pi": 4, "sqrt3": 5, "i": 6}
-_NO_INDEX = ("pi", "sqrt3", "i")
+_KIND_ORDER = {"zeta": 0, "C": 1, "S": 2, "L3": 3, "pi": 4, "sqrt3": 5}
+_NO_INDEX = ("pi", "sqrt3")
 
 # a stable description of the canonicalization rules; hashed into output
 # records so consumers can tell when the canonical form changed meaning
@@ -77,7 +76,6 @@ class BaseConstant:
 
 
 PI = BaseConstant("pi")
-IMAG_UNIT = BaseConstant("i")
 SQRT3 = BaseConstant("sqrt3")
 
 
@@ -102,14 +100,12 @@ Monomial = tuple
 
 
 def _normalize_monomial(factors) -> tuple[Fraction, Monomial]:
-    """Merge duplicate symbols, fold i^4 -> 1 and sqrt3^2 -> 3."""
+    """Merge duplicate symbols and fold sqrt3^2 -> 3."""
     exps: dict[BaseConstant, int] = {}
     for sym, e in factors:
         if e:
             exps[sym] = exps.get(sym, 0) + e
     carry = Fraction(1)
-    if IMAG_UNIT in exps:
-        exps[IMAG_UNIT] %= 4
     if SQRT3 in exps:
         e = exps[SQRT3]
         carry *= Fraction(3) ** (e // 2)
@@ -222,34 +218,6 @@ class SymbolicValue:
         return f"SymbolicValue({to_text(self)!r})"
 
 
-def real_part(v: SymbolicValue) -> SymbolicValue:
-    """Project onto the real line: i^0 -> 1, i^2 -> -1, odd powers -> 0."""
-    out: dict[Monomial, Fraction] = {}
-    for mono, coeff in v._terms.items():
-        e = _mono_exp(mono, IMAG_UNIT)
-        if e % 2:
-            continue
-        if e == 2:
-            coeff = -coeff
-        mono = tuple(p for p in mono if p[0] != IMAG_UNIT)
-        out[mono] = out.get(mono, Fraction(0)) + coeff
-    return SymbolicValue(out)
-
-
-def imag_part(v: SymbolicValue) -> SymbolicValue:
-    """The real value w with v = real_part(v) + i*w."""
-    out: dict[Monomial, Fraction] = {}
-    for mono, coeff in v._terms.items():
-        e = _mono_exp(mono, IMAG_UNIT)
-        if e % 2 == 0:
-            continue
-        if e == 3:
-            coeff = -coeff
-        mono = tuple(p for p in mono if p[0] != IMAG_UNIT)
-        out[mono] = out.get(mono, Fraction(0)) + coeff
-    return SymbolicValue(out)
-
-
 def _c_third(j: int) -> Fraction:
     # C_j(1/3) = (1 - 3^(j-1)) / (2 * 3^(j-1))
     return Fraction(1 - 3 ** (j - 1), 2 * 3 ** (j - 1))
@@ -331,8 +299,6 @@ def to_dirichlet_basis(v: SymbolicValue, k: int) -> SymbolicValue:
         staged = staged + acc
     out = SymbolicValue.zero()
     for mono, coeff in staged.terms():
-        if _mono_exp(mono, IMAG_UNIT):
-            raise ValueError("imaginary units present; take real_part first")
         e_pi = _mono_exp(mono, PI)
         has_s3 = _mono_exp(mono, SQRT3) == 1
         rest = [(s, e) for s, e in mono if s.kind not in ("pi", "sqrt3")]
@@ -355,7 +321,7 @@ def to_dirichlet_basis(v: SymbolicValue, k: int) -> SymbolicValue:
 
 # ---------------------------------------------------------------- printing
 
-_TEXT_NAMES = {"pi": "π", "sqrt3": "√3", "i": "i"}
+_TEXT_NAMES = {"pi": "π", "sqrt3": "√3"}
 
 
 def _sym_text(sym: BaseConstant, e: int) -> str:
@@ -420,13 +386,10 @@ def to_latex(v: SymbolicValue) -> str:
     for mono, coeff in v.terms():
         num_factors = []
         n, d = abs(coeff.numerator), coeff.denominator
-        i_e = _mono_exp(mono, IMAG_UNIT)
         s3 = _mono_exp(mono, SQRT3)
         pi_e = _mono_exp(mono, PI)
         if n != 1:
             num_factors.append(str(n))
-        if i_e:
-            num_factors.append("i" + _exp_latex(i_e))
         if s3:
             num_factors.append(r"\sqrt{3}")
         if pi_e:

@@ -15,7 +15,7 @@ the evaluation raises; there is no silent truncation.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial, gcd, ceil, log10
 
@@ -23,7 +23,7 @@ import mpmath
 from mpmath import mp
 
 from .arith import bernoulli_number
-from .constants import BaseConstant, SymbolicValue, _mono_exp, IMAG_UNIT
+from .constants import BaseConstant, SymbolicValue
 
 _MAX_CUTOFF = 50000
 
@@ -66,6 +66,7 @@ class NumericCheckRecord:
     digits: int
     passed: bool
     cutoff: int | None = None
+    tail_bound: str | None = None
 
     def as_json_dict(self) -> dict:
         return {
@@ -74,6 +75,7 @@ class NumericCheckRecord:
             "rel_residual": self.rel_residual,
             "tolerance": self.tolerance, "digits": self.digits,
             "passed": self.passed, "cutoff": self.cutoff,
+            "tail_bound": self.tail_bound,
         }
 
 
@@ -114,8 +116,6 @@ def eval_constant(c: BaseConstant, precision: Precision = DEFAULT_PRECISION):
             v = +mp.pi
         elif c.kind == "sqrt3":
             v = mp.sqrt(3)
-        elif c.kind == "i":
-            raise ValueError("imaginary unit has no real evaluation")
         elif c.kind == "zeta":
             v = mp.zeta(c.index)
         elif c.kind == "L3":
@@ -136,12 +136,10 @@ def eval_constant(c: BaseConstant, precision: Precision = DEFAULT_PRECISION):
 
 
 def eval_symbolic(v: SymbolicValue, precision: Precision = DEFAULT_PRECISION):
-    """Exact-coefficient sum of evaluated monomials; rejects i factors."""
+    """Exact-coefficient sum of evaluated monomials."""
     with mp.workdps(precision.dps):
         total = mp.mpf(0)
         for mono, coeff in v.terms():
-            if _mono_exp(mono, IMAG_UNIT):
-                raise ValueError("imaginary units present; take real_part first")
             x = mp.mpf(coeff.numerator) / coeff.denominator
             for sym, e in mono:
                 x *= eval_constant(sym, precision) ** e
@@ -359,10 +357,12 @@ def verify(values: dict[str, SymbolicValue], factors,
     """Check each named closed form against one lattice sum over `factors`.
 
     Records are keyed like `values`, labelled "<name> vs series" and
-    carry the oracle's final cutoff; deciding what a failure means is
-    left to the caller.
+    carry the oracle's final cutoff and tail bound; deciding what a
+    failure means is left to the caller.
     """
-    series, _, cutoff = lattice_sum(factors, precision)
-    return {name: check_values(eval_symbolic(v, precision), series, precision,
-                               label=f"{name} vs series", cutoff=cutoff)
+    series, bound, cutoff = lattice_sum(factors, precision)
+    return {name: replace(check_values(eval_symbolic(v, precision), series,
+                                       precision, label=f"{name} vs series",
+                                       cutoff=cutoff),
+                          tail_bound=mp.nstr(bound, 5))
             for name, v in values.items()}

@@ -22,8 +22,10 @@ and term2 collects the shift corrections
 for c = 1..b-1, whose constants are Clausen values at angles a*c/b paired
 with Bernoulli polynomial values B_q(c/b).  Both tables are read off as
 finite Cauchy double sums over Bernoulli numbers, one per coefficient.
-Powers of i are carried symbolically; at odd weight every surviving
-monomial is real and the single real_part call at the end is exact.
+Every constant multiplied here is real, so a power i^k of the imaginary
+unit only picks the part a term joins and its sign: each block is kept
+as a pair [Re, Im] of real values.  At odd weight the imaginary parts of
+the two G's cancel exactly; closed_form checks that before it returns.
 """
 from __future__ import annotations
 
@@ -32,8 +34,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 
 from .arith import bernoulli_number, bernoulli_poly
-from .constants import (PI, IMAG_UNIT, SymbolicValue, mono_weight, real_part,
-                        reduce_angle, zeta)
+from .constants import PI, SymbolicValue, mono_weight, reduce_angle, zeta
 
 
 @dataclass(frozen=True)
@@ -111,12 +112,17 @@ def zeta_integral_coeff(a: int, b: int, r: int, s: int) -> SymbolicValue:
     return SymbolicValue.from_factors(coeff, [(zeta(r + s), 1)])
 
 
-def term1_coeff(req: EvalRequest) -> SymbolicValue:
-    """Coefficient block pairing A_b(n2,n3) with the depth-one zeta series;
-    monomials come out as (2 pi i)^(n2+n3) rational zeta(k1+s)."""
+def _add_i_power(parts: list, k: int, v: SymbolicValue) -> None:
+    """parts[0] + i parts[1] += i^k v, for a real value v."""
+    parts[k % 2] += -v if k % 4 >= 2 else v
+
+
+def term1_coeff(req: EvalRequest) -> list:
+    """[Re, Im] of the coefficient block pairing A_b(n2,n3) with the
+    depth-one zeta series; monomials are (2 pi i)^(n2+n3) rational zeta(k1+s)."""
     a, b, k1, k2, k3 = req.a, req.b, req.k1, req.k2, req.k3
     series = alpha_coeffs(b, k2, k3)
-    out = SymbolicValue.zero()
+    out = [SymbolicValue.zero(), SymbolicValue.zero()]
     for n2 in range(k2 + 1):
         for n3 in range(k3 + 1):
             ab = series[(n2, n3)]
@@ -131,17 +137,17 @@ def term1_coeff(req: EvalRequest) -> SymbolicValue:
                 continue
             e = n2 + n3
             coeff = ab * comb(s, j) * Fraction(-b) ** j * 2 ** e
-            out = out + SymbolicValue.from_factors(
-                coeff, [(PI, e), (IMAG_UNIT, e)]) * zv
+            _add_i_power(out, e,
+                         SymbolicValue.from_factors(coeff, [(PI, e)]) * zv)
     return out
 
 
-def term2_coeff(req: EvalRequest) -> SymbolicValue:
-    """Shift-correction block: Clausen values at angles a*c/b weighted by
-    Bernoulli polynomial values B_q(c/b); empty when b = 1."""
+def term2_coeff(req: EvalRequest) -> list:
+    """[Re, Im] of the shift-correction block: Clausen values at angles
+    a*c/b weighted by Bernoulli polynomial values B_q(c/b); zero when b = 1."""
     a, b, k1, k2, k3 = req.a, req.b, req.k1, req.k2, req.k3
     p = k1 - 1
-    out = SymbolicValue.zero()
+    out = [SymbolicValue.zero(), SymbolicValue.zero()]
     for c in range(1, b):
         series = alpha_tilde_coeffs(b, c, k2, k3)
         angle = Fraction(a * c, b)
@@ -164,8 +170,8 @@ def term2_coeff(req: EvalRequest) -> SymbolicValue:
                         # -i * S_{p+s+1}(ac/b) * B_q(c/b)
                         cst = reduce_angle("S", p + s + 1, angle) \
                             * bernoulli_poly(q, bq_at)
-                        head = SymbolicValue.from_factors(
-                            -base, [(PI, e), (IMAG_UNIT, e + 1)])
+                        _add_i_power(out, e + 1, SymbolicValue.from_factors(
+                            -base, [(PI, e)]) * cst)
                     else:
                         # zeta(p+s+1) B_q(1) - C_{p+s+1}(ac/b) B_q(c/b)
                         cst = SymbolicValue.from_factors(
@@ -173,26 +179,29 @@ def term2_coeff(req: EvalRequest) -> SymbolicValue:
                             [(zeta(p + s + 1), 1)]) \
                             - reduce_angle("C", p + s + 1, angle) \
                             * bernoulli_poly(q, bq_at)
-                        head = SymbolicValue.from_factors(
-                            base, [(PI, e), (IMAG_UNIT, e)])
-                    out = out + head * cst
+                        _add_i_power(out, e, SymbolicValue.from_factors(
+                            base, [(PI, e)]) * cst)
     return out
 
 
-def g_coefficient(req: EvalRequest) -> SymbolicValue:
-    """The full coefficient G_{a,b}(k1,k2,k3), i-powers included.
+def g_coefficient(req: EvalRequest) -> tuple[SymbolicValue, SymbolicValue]:
+    """(Re, Im) of the full coefficient G_{a,b}(k1,k2,k3).
 
     The generating function has a third block depending on (t1,t2) and
     (t1,t3) only; its coefficient at t2^k2 t3^k3 with k2,k3 >= 1 is zero,
     so term1 + term2 is the whole coefficient.
     """
-    return term1_coeff(req) + term2_coeff(req)
+    (re1, im1), (re2, im2) = term1_coeff(req), term2_coeff(req)
+    return re1 + re2, im1 + im2
 
 
 def closed_form(req: EvalRequest) -> SymbolicValue:
-    """zeta_{a,b}(k1,k2,k3) = -(1/2) Re[G_{a,b}(k1,k2,k3)+G_{b,a}(k2,k1,k3)]."""
-    g = g_coefficient(req) + g_coefficient(req.swapped)
-    value = real_part(g) * Fraction(-1, 2)
+    """zeta_{a,b}(k1,k2,k3) = -(1/2) Re[G_{a,b}(k1,k2,k3)+G_{b,a}(k2,k1,k3)];
+    raises unless the imaginary parts cancel exactly."""
+    (re1, im1), (re2, im2) = g_coefficient(req), g_coefficient(req.swapped)
+    if not (im1 + im2).is_zero:
+        raise RuntimeError(f"imaginary part does not cancel for {req}")
+    value = (re1 + re2) * Fraction(-1, 2)
     if any(mono_weight(mono) != req.weight for mono, _ in value.terms()):
         raise RuntimeError(f"weight homogeneity broken for {req}")
     return value

@@ -135,12 +135,6 @@ class TermSum:
     def __iter__(self):
         return iter(self.terms)
 
-    def __add__(self, other: "TermSum") -> "TermSum":
-        return TermSum.make(self.terms + other.terms)
-
-    def scaled(self, x) -> "TermSum":
-        return TermSum(tuple(t.scaled(x) for t in self.terms))
-
 
 def split_pair(t: TermProduct, u: LinearForm, w: LinearForm,
                relation: Relation) -> TermSum:

@@ -136,8 +136,11 @@ def test_check_records_carry_the_oracle_cutoff(monkeypatch):
     code, out, _ = run_cli("eval", "--a", "1", "--b", "2", "--k", "1", "1", "3",
                            "--verify", "--format", "json")
     assert code == 0
-    cutoff = json.loads(out)["check"]["cutoff"]
-    assert isinstance(cutoff, int) and cutoff >= 40
+    check = json.loads(out)["check"]
+    assert isinstance(check["cutoff"], int) and check["cutoff"] >= 40
+    # the oracle's tail bound is within the tolerance it was asked for
+    assert float(check["tail_bound"]) <= (check["tolerance"]
+                                          * abs(float(check["rhs"])))
 
     calls = []
     oracle = numeric.lattice_sum

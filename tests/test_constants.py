@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
 
-from tornheim.constants import (BaseConstant, IMAG_UNIT, PI, SQRT3,
-                                SymbolicValue, clausen_c, clausen_s,
-                                dirichlet_l3, exact_L_rational, exact_L_value,
-                                from_json, imag_part, mono_weight, real_part,
-                                reduce_angle, to_dirichlet_basis, to_json,
-                                to_latex, to_text, zeta)
+from tornheim.constants import (BaseConstant, PI, SQRT3, SymbolicValue,
+                                clausen_c, clausen_s, dirichlet_l3,
+                                exact_L_rational, exact_L_value, from_json,
+                                mono_weight, reduce_angle, to_dirichlet_basis,
+                                to_json, to_latex, to_text, zeta)
 from tornheim.numeric import DEFAULT_PRECISION, eval_constant, eval_symbolic
 
 F = Fraction
@@ -47,20 +46,16 @@ def test_base_constant_validation():
         BaseConstant("S", 4, F(1, 6))
     with pytest.raises(ValueError):
         BaseConstant("evenzeta", 4)
+    with pytest.raises(ValueError):
+        BaseConstant("i")                   # the ring holds reals only
     BaseConstant("S", 2, F(1, 3))
     BaseConstant("C", 2, F(1, 5))
 
 
 def test_monomial_normalization():
-    assert sv(1, (IMAG_UNIT, 5)) == sv(1, (IMAG_UNIT, 1))
-    assert sv(1, (IMAG_UNIT, 4)) == SymbolicValue.from_rational(1)
     assert sv(1, (SQRT3, 2)) == SymbolicValue.from_rational(3)
     assert sv(1, (SQRT3, 3)) == sv(3, (SQRT3, 1))
     assert sv(2, (PI, 1), (PI, 2)) == sv(2, (PI, 3))
-    # i^2 is kept (it is not real); real_part resolves it to -1
-    v = sv(1, (IMAG_UNIT, 2))
-    assert not v.is_zero
-    assert real_part(v) == SymbolicValue.from_rational(-1)
 
 
 def test_coefficient_accounts_for_carry():
@@ -81,17 +76,6 @@ def test_algebra_ring_axioms():
     assert x ** 0 == SymbolicValue.from_rational(1)
     with pytest.raises(ValueError):
         x ** -1
-
-
-def test_real_imag_decomposition():
-    v = (sv(2, (PI, 1), (IMAG_UNIT, 1)) + sv(3, (zeta(3), 1))
-         + sv(1, (IMAG_UNIT, 2)) + sv(5, (IMAG_UNIT, 3)))
-    re, im = real_part(v), imag_part(v)
-    rebuilt = re + sv(1, (IMAG_UNIT, 1)) * im
-    # rebuilt and v agree once both are split into real/imag parts
-    assert real_part(rebuilt) == re and imag_part(rebuilt) == im
-    assert im == sv(2, (PI, 1)) - SymbolicValue.from_rational(5)
-    assert re == sv(3, (zeta(3), 1)) - SymbolicValue.from_rational(1)
 
 
 # --------------------------------------------------------- angle reduction
@@ -193,8 +177,6 @@ def test_dirichlet_basis_rejections():
         to_dirichlet_basis(sv(1, (PI, 5)), 5)          # odd pi, no sqrt3
     with pytest.raises(ValueError):
         to_dirichlet_basis(sv(1, (SQRT3, 1), (PI, 4)), 5)
-    with pytest.raises(ValueError):
-        to_dirichlet_basis(sv(1, (IMAG_UNIT, 1), (PI, 5)), 5)
     with pytest.raises(ValueError):
         to_dirichlet_basis(sv(1, (zeta(5), 1)), 4)     # even weight
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from tornheim.constants import (SymbolicValue, IMAG_UNIT, PI, SQRT3,
+from tornheim.constants import (SymbolicValue, PI, SQRT3,
                                 clausen_c, clausen_s, dirichlet_l3, zeta)
 from tornheim.numeric import (DEFAULT_PRECISION, Precision, PrecisionError,
                               check_values, eval_constant, eval_symbolic,
@@ -66,12 +66,6 @@ def test_l3_against_clausen_sum(j):
         got = eval_constant(dirichlet_l3(j), PREC)
         want = 2 / mp.sqrt(3) * mp.clsin(j, 2 * mp.pi / 3)
         assert abs(got - want) <= mp.mpf("1e-33") * abs(want)
-
-
-def test_eval_symbolic_rejects_imaginary():
-    v = SymbolicValue.from_factors(1, [(IMAG_UNIT, 1), (PI, 1)])
-    with pytest.raises(ValueError):
-        eval_symbolic(v)
 
 
 def test_eval_symbolic_mixed_value():

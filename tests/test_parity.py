@@ -12,8 +12,7 @@ from mpmath import mp
 
 import tornheim
 from tornheim.arith import bernoulli_number
-from tornheim.constants import (IMAG_UNIT, PI, SymbolicValue, clausen_s,
-                                imag_part, mono_weight, zeta)
+from tornheim.constants import PI, SymbolicValue, clausen_s, mono_weight, zeta
 from tornheim.numeric import Precision, eval_symbolic, lattice_sum
 from tornheim.parity import (EvalRequest, alpha_coeffs, alpha_tilde_coeffs,
                              closed_form, g_coefficient, term2_coeff,
@@ -136,7 +135,8 @@ def test_series_parameter_symmetry():
 
 
 def test_no_shift_block_when_b_is_one():
-    assert term2_coeff(EvalRequest(3, 1, 1, 1, 3)).is_zero
+    re, im = term2_coeff(EvalRequest(3, 1, 1, 1, 3))
+    assert re.is_zero and im.is_zero
 
 
 def test_imaginary_part_cancels_syntactically():
@@ -144,8 +144,8 @@ def test_imaginary_part_cancels_syntactically():
                                (2, 3, 1, 2, 2), (2, 5, 3, 1, 3),
                                (3, 4, 1, 1, 5)]:
         req = EvalRequest(a, b, k1, k2, k3)
-        g = g_coefficient(req) + g_coefficient(req.swapped)
-        assert imag_part(g).is_zero
+        (_, im1), (_, im2) = g_coefficient(req), g_coefficient(req.swapped)
+        assert (im1 + im2).is_zero
 
 
 @pytest.mark.parametrize("a,b,k1,k2,k3", [
@@ -199,6 +199,27 @@ def test_weight_homogeneity_check_survives_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "weight homogeneity broken" in proc.stdout
+
+
+def test_imaginary_cancellation_check_survives_optimize():
+    # a term2 block with a stray imaginary part must make closed_form
+    # raise, also where asserts are stripped
+    script = ("import tornheim.parity as p\n"
+              "term2 = p.term2_coeff\n"
+              "def stray(req):\n"
+              "    re, im = term2(req)\n"
+              "    return [re, im + p.SymbolicValue.from_rational(1)]\n"
+              "p.term2_coeff = stray\n"
+              "try:\n"
+              "    p.closed_form(p.EvalRequest(1, 2, 1, 1, 3))\n"
+              "except RuntimeError as exc:\n"
+              "    print(exc)\n")
+    src = os.path.dirname(os.path.dirname(tornheim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "imaginary part does not cancel" in proc.stdout
 
 
 def test_closed_form_insensitive_to_constant_block_convention(monkeypatch):
