@@ -22,16 +22,25 @@ and term2 collects the shift corrections
 for c = 1..b-1, whose constants are Clausen values at angles a*c/b paired
 with Bernoulli polynomial values B_q(c/b).  Both tables are read off as
 finite Cauchy double sums over Bernoulli numbers, one per coefficient.
+The process keeps one table per (b, c) and adds entries as larger
+truncations are asked for.
+
 Every constant multiplied here is real, so a power i^k of the imaginary
 unit only picks the part a term joins and its sign: each block is kept
-as a pair [Re, Im] of real values.  At odd weight the imaginary parts of
-the two G's cancel exactly; closed_form checks that before it returns.
+as a pair [Re, Im] of real values.  A block first sums its rational
+weights per constant, then adds i^k x pi^e * constant into two plain
+dicts keyed by (pi-power, constant monomial), one for Re and one for
+Im, and turns each into a SymbolicValue once at the end.  At odd weight
+the imaginary parts of the two G's cancel exactly; closed_form checks
+that before it returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, gcd
+from types import MappingProxyType
 
 from .arith import bernoulli_number, bernoulli_poly
 from .constants import PI, SymbolicValue, mono_weight, reduce_angle, zeta
@@ -65,40 +74,73 @@ class EvalRequest:
         return EvalRequest(self.b, self.a, self.k2, self.k1, self.k3)
 
 
-def _coeff_table(front: list, b: int, rows: int, cols: int) -> dict:
+def _coeff_table(front: list, b: int, rows: int, cols: int,
+                 table: dict | None = None) -> dict:
     """Coefficients of t1^r t2^s, r <= rows, s <= cols, in
     f(t1) beta0(-t2) (e^{bt1-t2}-1)/(bt1-t2), f(t1) = sum front[p] t1^p:
     the Cauchy double sum over p1 <= r, p2 <= s of
-    f_p1 B_p2(0)/p2! (-1)^s b^(r-p1) / ((r-p1)! (s-p2)! (r-p1+s-p2+1))."""
+    f_p1 B_p2(0)/p2! (-1)^s b^(r-p1) / ((r-p1)! (s-p2)! (r-p1+s-p2+1)).
+    Entries already in `table` are kept and only the missing ones added."""
+    table = {} if table is None else table
     bern = [bernoulli_number(p, "at-zero") / factorial(p)
             for p in range(cols + 1)]
-    # the sum over p2 depends on q1 = r - p1 and s only: one per (q1, s)
-    inner = {(q1, s): Fraction(b ** q1, factorial(q1)) * sum(
-                 bern[p2] / (factorial(s - p2) * (q1 + s - p2 + 1))
-                 for p2 in range(s + 1) if bern[p2])
-             for q1 in range(rows + 1) for s in range(cols + 1)}
-    return {(r, s): (-1) ** s * sum(
-                (front[p1] * inner[(r - p1, s)] for p1 in range(r + 1)
-                 if front[p1]), Fraction(0))
-            for r in range(rows + 1) for s in range(cols + 1)}
+
+    # the sum over p2 depends on q1 = r - p1 and s only
+    @cache
+    def inner(q1, s):
+        return Fraction(b ** q1, factorial(q1)) * sum(
+            bern[p2] / (factorial(s - p2) * (q1 + s - p2 + 1))
+            for p2 in range(s + 1) if bern[p2])
+
+    # row by row: an entry is added only after the rest of its rectangle,
+    # so the test in _table stays exact even after a fill stopped midway
+    for r in range(rows + 1):
+        for s in range(cols + 1):
+            if (r, s) not in table:
+                table[(r, s)] = (-1) ** s * sum(
+                    (front[p1] * inner(r - p1, s) for p1 in range(r + 1)
+                     if front[p1]), Fraction(0))
+    return table
 
 
-def alpha_coeffs(b: int, rows: int, cols: int) -> dict:
-    """{(r, s): A_b(r,s)} for r <= rows, s <= cols."""
+def _front(c: int, rows: int) -> list:
+    """f(t1) up to t1^rows: beta0(t1) for c = 0, else -t1 e^{-c t1}."""
+    if c == 0:
+        return [bernoulli_number(p, "at-zero") / factorial(p)
+                for p in range(rows + 1)]
+    return [Fraction(0)] + [-Fraction((-c) ** (p - 1), factorial(p - 1))
+                            for p in range(1, rows + 1)]
+
+
+# one table per (b, c), c = 0 for alpha_b, kept for the process: the
+# union of the rectangles r <= rows, s <= cols requested so far.  A
+# larger truncation contains every smaller one, so a request only adds
+# the entries it lacks, and holding (rows, cols) means holding its
+# whole rectangle.
+_TABLES: dict[tuple[int, int], dict] = {}
+
+
+def _table(b: int, c: int, rows: int, cols: int) -> MappingProxyType:
+    table = _TABLES.setdefault((b, c), {})
+    if (rows, cols) not in table:
+        _coeff_table(_front(c, rows), b, rows, cols, table)
+    return MappingProxyType(table)
+
+
+def alpha_coeffs(b: int, rows: int, cols: int) -> MappingProxyType:
+    """{(r, s): A_b(r,s)}, read-only, for at least r <= rows, s <= cols."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    front = [bernoulli_number(p, "at-zero") / factorial(p)
-             for p in range(rows + 1)]
-    return _coeff_table(front, b, rows, cols)
+    return _table(b, 0, rows, cols)
 
 
-def alpha_tilde_coeffs(b: int, c: int, rows: int, cols: int) -> dict:
-    """Coefficients of atilde_{b,c}(t1,t2) at t1^r t2^s, r <= rows, s <= cols."""
+def alpha_tilde_coeffs(b: int, c: int, rows: int,
+                       cols: int) -> MappingProxyType:
+    """Coefficients of atilde_{b,c}(t1,t2) at t1^r t2^s, read-only, for at
+    least r <= rows, s <= cols."""
     if not 1 <= c <= b - 1:
         raise ValueError("need 1 <= c <= b-1")
-    front = [Fraction(0)] + [-Fraction((-c) ** (p - 1), factorial(p - 1))
-                             for p in range(1, rows + 1)]
-    return _coeff_table(front, b, rows, cols)
+    return _table(b, c, rows, cols)
 
 
 def zeta_integral_coeff(a: int, b: int, r: int, s: int) -> SymbolicValue:
@@ -112,9 +154,26 @@ def zeta_integral_coeff(a: int, b: int, r: int, s: int) -> SymbolicValue:
     return SymbolicValue.from_factors(coeff, [(zeta(r + s), 1)])
 
 
-def _add_i_power(parts: list, k: int, v: SymbolicValue) -> None:
-    """parts[0] + i parts[1] += i^k v, for a real value v."""
-    parts[k % 2] += -v if k % 4 >= 2 else v
+def _accumulate(parts: list, k: int, e: int, x: Fraction,
+                cst: SymbolicValue) -> None:
+    """parts[0] + i parts[1] += i^k x pi^e cst, for a real constant cst;
+    each part maps (pi-power, constant monomial) to a coefficient."""
+    acc = parts[k % 2]
+    if k % 4 >= 2:
+        x = -x
+    for mono, coeff in cst.terms():
+        acc[(e, mono)] = acc.get((e, mono), 0) + x * coeff
+
+
+def _value(acc: dict) -> SymbolicValue:
+    """The sum of coeff pi^e mono over acc {(e, mono): coeff}."""
+    terms = {}
+    for (e, mono), coeff in acc.items():
+        if coeff:
+            (key, x), = SymbolicValue.from_factors(
+                coeff, [*mono, (PI, e)]).terms()
+            terms[key] = terms.get(key, 0) + x
+    return SymbolicValue(terms)
 
 
 def term1_coeff(req: EvalRequest) -> list:
@@ -122,24 +181,20 @@ def term1_coeff(req: EvalRequest) -> list:
     depth-one zeta series; monomials are (2 pi i)^(n2+n3) rational zeta(k1+s)."""
     a, b, k1, k2, k3 = req.a, req.b, req.k1, req.k2, req.k3
     series = alpha_coeffs(b, k2, k3)
-    out = [SymbolicValue.zero(), SymbolicValue.zero()]
+    # s = k2+k3-n2-n3 fixes both pi^(n2+n3) and zeta(k1+s): sum per s first
+    weights: dict[int, Fraction] = {}
     for n2 in range(k2 + 1):
         for n3 in range(k3 + 1):
             ab = series[(n2, n3)]
-            if ab == 0:
-                continue
             s = k2 + k3 - n2 - n3
-            j = k2 - n2
-            if s < 1:
-                continue
-            zv = zeta_integral_coeff(a, 1, k1, s)
-            if zv.is_zero:
-                continue
-            e = n2 + n3
-            coeff = ab * comb(s, j) * Fraction(-b) ** j * 2 ** e
-            _add_i_power(out, e,
-                         SymbolicValue.from_factors(coeff, [(PI, e)]) * zv)
-    return out
+            if ab and s >= 1:
+                j = k2 - n2
+                weights[s] = weights.get(s, 0) + ab * (comb(s, j) * (-b) ** j)
+    parts = [{}, {}]
+    for s, w in weights.items():
+        e = k2 + k3 - s
+        _accumulate(parts, e, e, w * 2 ** e, zeta_integral_coeff(a, 1, k1, s))
+    return [_value(parts[0]), _value(parts[1])]
 
 
 def term2_coeff(req: EvalRequest) -> list:
@@ -147,11 +202,11 @@ def term2_coeff(req: EvalRequest) -> list:
     a*c/b weighted by Bernoulli polynomial values B_q(c/b); zero when b = 1."""
     a, b, k1, k2, k3 = req.a, req.b, req.k1, req.k2, req.k3
     p = k1 - 1
-    out = [SymbolicValue.zero(), SymbolicValue.zero()]
+    # the term at (c, n2, n3) depends on n2 + n3 only through
+    # big_q = k2+k3-n2-n3+1: sum its rational weight per (c, big_q) first
+    lead: dict[tuple[int, int], Fraction] = {}
     for c in range(1, b):
         series = alpha_tilde_coeffs(b, c, k2, k3)
-        angle = Fraction(a * c, b)
-        bq_at = Fraction(c, b)
         for n2 in range(1, k2 + 1):
             for n3 in range(k3 + 1):
                 at = series[(n2, n3)]
@@ -159,29 +214,43 @@ def term2_coeff(req: EvalRequest) -> list:
                     continue
                 big_q = k2 + k3 - n2 - n3 + 1
                 j = k2 - n2
-                fixed = at * comb(big_q - 1, j) * Fraction(b) ** j \
-                    * (-1) ** (big_q - 1 - j)
-                for s in range(1, big_q + 1):
-                    q = big_q - s
-                    e = n2 + n3 + q - 1
-                    base = fixed * Fraction((-1) ** s * 2 ** e,
-                                            factorial(q) * a ** s)
-                    if (p + s) % 2:
-                        # -i * S_{p+s+1}(ac/b) * B_q(c/b)
-                        cst = reduce_angle("S", p + s + 1, angle) \
-                            * bernoulli_poly(q, bq_at)
-                        _add_i_power(out, e + 1, SymbolicValue.from_factors(
-                            -base, [(PI, e)]) * cst)
-                    else:
-                        # zeta(p+s+1) B_q(1) - C_{p+s+1}(ac/b) B_q(c/b)
-                        cst = SymbolicValue.from_factors(
-                            bernoulli_number(q, "at-one"),
-                            [(zeta(p + s + 1), 1)]) \
-                            - reduce_angle("C", p + s + 1, angle) \
-                            * bernoulli_poly(q, bq_at)
-                        _add_i_power(out, e, SymbolicValue.from_factors(
-                            base, [(PI, e)]) * cst)
-    return out
+                lead[(c, big_q)] = lead.get((c, big_q), 0) + at * (
+                    comb(big_q - 1, j) * b ** j * (-1) ** (big_q - 1 - j))
+
+    @cache
+    def bern(c, q):
+        """B_q(c/b) / q!; at c = b, B_q(1) / q! from the Bernoulli numbers."""
+        if c == b:
+            return bernoulli_number(q, "at-one") / factorial(q)
+        return bernoulli_poly(q, Fraction(c, b)) / factorial(q)
+
+    # with big_q = s + q and e = k2+k3-s, the term is (-1)^s 2^e pi^e /
+    # (a^s q!) times
+    #   -i S_{p+s+1}(ac/b) B_q(c/b)                   for odd p+s,
+    #   zeta(p+s+1) B_q(1) - C_{p+s+1}(ac/b) B_q(c/b)  for even p+s:
+    # sum the weights per zeta(p+s+1) and per (c, s), then scale once
+    zeta_w: dict[int, Fraction] = {}
+    clausen_w: dict[tuple[int, int], Fraction] = {}
+    for (c, big_q), w in lead.items():
+        for s in range(1, big_q + 1):
+            q = big_q - s
+            if (p + s) % 2 == 0:
+                zeta_w[s] = zeta_w.get(s, 0) + w * bern(b, q)
+            clausen_w[(c, s)] = clausen_w.get((c, s), 0) - w * bern(c, q)
+    parts = [{}, {}]
+    for s, w in zeta_w.items():
+        e = k2 + k3 - s
+        x = w * Fraction((-1) ** s * 2 ** e, a ** s)
+        _accumulate(parts, e, e, x,
+                    SymbolicValue.from_factors(1, [(zeta(p + s + 1), 1)]))
+    for (c, s), w in clausen_w.items():
+        e = k2 + k3 - s
+        odd = (p + s) % 2
+        x = w * Fraction((-1) ** s * 2 ** e, a ** s)
+        _accumulate(parts, e + odd, e, x,
+                    reduce_angle("S" if odd else "C", p + s + 1,
+                                 Fraction(a * c, b)))
+    return [_value(parts[0]), _value(parts[1])]
 
 
 def g_coefficient(req: EvalRequest) -> tuple[SymbolicValue, SymbolicValue]:

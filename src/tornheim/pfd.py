@@ -114,9 +114,6 @@ class TermProduct:
     def weight(self) -> int:
         return sum(e for _, e in self.exponents)
 
-    def scaled(self, x) -> "TermProduct":
-        return TermProduct(self.coeff * x, self.exponents)
-
 
 @dataclass(frozen=True)
 class TermSum:

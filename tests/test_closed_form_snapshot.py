@@ -1,10 +1,16 @@
-"""Exact snapshot of closed forms for pairs whose forms other checks test
+"""Exact snapshots of closed forms.
+
+tests/data/closed_forms.json pins pairs whose forms other checks test
 only numerically: (3,7), (7,3), (5,8), (8,5) at weights 3-7 and (1,3),
 (2,3) at weight 9, every composition of each weight.
 
-The snapshot in tests/data/closed_forms.json holds the `to_json_dict`
-terms of each form. Regenerate it only from code whose forms are known
-to be right:
+tests/data/closed_forms_wide.json pins the weights the G2 reduction
+reaches: every composition of weights 9-13 for (1,1), (1,3), (2,3) and
+of weights 9-11 for (3,7), and every weight-15 composition with k1 = 1
+for those four pairs (cases already in the first file are left out).
+
+Both hold the `to_json_dict` terms of each form. Regenerate them only
+from code whose forms are known to be right:
 
     PYTHONPATH=src python tests/test_closed_form_snapshot.py
 """
@@ -17,7 +23,9 @@ import pytest
 from tornheim.constants import from_json_dict, to_json_dict
 from tornheim.parity import EvalRequest, closed_form
 
-SNAPSHOT = Path(__file__).parent / "data" / "closed_forms.json"
+DATA = Path(__file__).parent / "data"
+SNAPSHOT = DATA / "closed_forms.json"
+WIDE = DATA / "closed_forms_wide.json"
 
 
 def _compositions(weight):
@@ -36,30 +44,58 @@ def cases():
             yield (a, b, *ks)
 
 
+def wide_cases():
+    seen = set(cases())
+    for a, b, top in [(1, 1, 13), (1, 3, 13), (2, 3, 13), (3, 7, 11)]:
+        for weight in (9, 11, 13, 15):
+            for ks in _compositions(weight):
+                if (weight <= top or (weight == 15 and ks[0] == 1)) \
+                        and (a, b, *ks) not in seen:
+                    yield (a, b, *ks)
+
+
 def _key(case):
     return ",".join(map(str, case))
 
 
 @cache
-def _load():
-    return json.loads(SNAPSHOT.read_text())
+def _load(path):
+    return json.loads(path.read_text())
 
 
-def test_snapshot_covers_every_case():
-    assert sorted(_load()) == sorted(_key(c) for c in cases())
-
-
-@pytest.mark.parametrize("case", list(cases()), ids=_key)
-def test_closed_form_matches_snapshot(case):
-    want = _load()[_key(case)]
+def _check(path, case):
+    want = _load(path)[_key(case)]
     value = closed_form(EvalRequest(*case))
     assert to_json_dict(value) == want
     assert value == from_json_dict(want)
 
 
-if __name__ == "__main__":
-    SNAPSHOT.parent.mkdir(exist_ok=True)
+def test_snapshot_covers_every_case():
+    assert sorted(_load(SNAPSHOT)) == sorted(_key(c) for c in cases())
+
+
+@pytest.mark.parametrize("case", list(cases()), ids=_key)
+def test_closed_form_matches_snapshot(case):
+    _check(SNAPSHOT, case)
+
+
+def test_wide_snapshot_covers_every_case():
+    assert sorted(_load(WIDE)) == sorted(_key(c) for c in wide_cases())
+
+
+@pytest.mark.parametrize("case", list(wide_cases()), ids=_key)
+def test_closed_form_matches_wide_snapshot(case):
+    _check(WIDE, case)
+
+
+def _write(path, case_list):
     lines = [json.dumps(_key(c)) + ": " + json.dumps(
                  to_json_dict(closed_form(EvalRequest(*c))), sort_keys=True)
-             for c in cases()]
-    SNAPSHOT.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+             for c in case_list]
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+if __name__ == "__main__":
+    DATA.mkdir(exist_ok=True)
+    _write(SNAPSHOT, cases())
+    _write(WIDE, wide_cases())

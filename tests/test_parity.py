@@ -11,6 +11,7 @@ import pytest
 from mpmath import mp
 
 import tornheim
+import tornheim.parity as parity
 from tornheim.arith import bernoulli_number
 from tornheim.constants import PI, SymbolicValue, clausen_s, mono_weight, zeta
 from tornheim.numeric import Precision, eval_symbolic, lattice_sum
@@ -86,6 +87,43 @@ def test_alpha_tilde_validates_shift():
         alpha_tilde_coeffs(2, 2, 5, 5)
     with pytest.raises(ValueError):
         alpha_tilde_coeffs(2, 0, 5, 5)
+
+
+@pytest.mark.parametrize("b", [3, 7])
+def test_grown_tables_equal_direct_builds(b, monkeypatch):
+    # a table grown first in rows, then in cols, holds exactly what one
+    # direct build at the final size gives
+    monkeypatch.setattr(parity, "_TABLES", {})
+    for c in range(b):
+        def grow(rows, cols):
+            return (alpha_tilde_coeffs(b, c, rows, cols) if c
+                    else alpha_coeffs(b, rows, cols))
+        grow(2, 3)
+        grow(9, 3)
+        table = grow(9, 8)
+        assert dict(table) == parity._coeff_table(parity._front(c, 9), b, 9, 8)
+        assert dict(grow(4, 5)) == dict(table)      # no shrinking
+        with pytest.raises(TypeError):
+            table[(0, 0)] = 0                         # read-only view
+    assert sorted(parity._TABLES) == [(b, c) for c in range(b)]
+
+
+def test_table_store_holds_one_table_per_shift(monkeypatch):
+    # the sizes a sweep of weights 5-9 with b <= 8 asks for leave one
+    # table per (b, c), holding the union of the rectangles asked for
+    monkeypatch.setattr(parity, "_TABLES", {})
+    for b in range(1, 9):
+        for weight in (5, 7, 9):
+            for k2 in range(1, weight - 1):
+                for k3 in range(1, weight - k2):
+                    alpha_coeffs(b, k2, k3)
+                    for c in range(1, b):
+                        alpha_tilde_coeffs(b, c, k2, k3)
+    assert sorted(parity._TABLES) == [(b, c) for b in range(1, 9)
+                                      for c in range(b)]
+    for table in parity._TABLES.values():
+        assert set(table) == {(r, s) for r in range(8) for s in range(8)
+                              if r + s <= 8}
 
 
 # -------------------------------------------------------------- requests

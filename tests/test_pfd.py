@@ -104,7 +104,7 @@ def test_split_preserves_weight_and_drops_pair():
 def test_verify_step_catches_wrong_coefficient():
     t = tp(1, (U, 1), (W, 1))
     out = split_pair(t, U, W, REL_N)
-    bad = TermSum(tuple(p.scaled(2) for p in out))
+    bad = TermSum(tuple(TermProduct(2 * p.coeff, p.exponents) for p in out))
     assert not verify_step(TermSum.make([t]), bad)
     missing = TermSum.make(list(out)[:1])
     assert not verify_step(TermSum.make([t]), missing)
