@@ -14,7 +14,6 @@ floating point.
 """
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import comb
 
@@ -22,10 +21,10 @@ Rational = Fraction
 
 _CONVENTIONS = ("at-zero", "at-one")
 
-# cache of at-zero Bernoulli numbers B_0..B_n, grown under a lock so
-# concurrent readers never observe a half-built entry
-_bern_cache: list[Fraction] = [Fraction(1)]
-_bern_lock = threading.Lock()
+# at-zero Bernoulli numbers by index.  Entry m is written only after
+# every entry below it, and always with the same value, so holding k
+# means holding 0..k; a repeated write is harmless and no lock is needed
+_bern_cache: dict[int, Fraction] = {0: Fraction(1)}
 
 
 def binomial(n: int, r: int) -> int:
@@ -37,11 +36,10 @@ def binomial(n: int, r: int) -> int:
 
 def _extend_bernoulli(k: int) -> None:
     # recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0, solved for B_k
-    with _bern_lock:
-        while len(_bern_cache) <= k:
-            m = len(_bern_cache)
+    for m in range(k + 1):
+        if m not in _bern_cache:
             acc = sum(Fraction(comb(m + 1, j)) * _bern_cache[j] for j in range(m))
-            _bern_cache.append(-acc / (m + 1))
+            _bern_cache[m] = -acc / (m + 1)
 
 
 def bernoulli_number(k: int, convention: str) -> Fraction:
@@ -50,7 +48,7 @@ def bernoulli_number(k: int, convention: str) -> Fraction:
         raise ValueError(f"unknown Bernoulli convention {convention!r}")
     if k < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    if len(_bern_cache) <= k:
+    if k not in _bern_cache:
         _extend_bernoulli(k)
     value = _bern_cache[k]
     if convention == "at-one" and k % 2 == 1:
@@ -63,7 +61,7 @@ def bernoulli_poly(k: int, x: Rational) -> Fraction:
     if k < 0:
         raise ValueError("Bernoulli index must be >= 0")
     x = Fraction(x)
-    if len(_bern_cache) <= k:
+    if k not in _bern_cache:
         _extend_bernoulli(k)
     return sum(
         Fraction(comb(k, j)) * _bern_cache[j] * x ** (k - j) for j in range(k + 1)

@@ -159,6 +159,16 @@ class SymbolicValue:
         carry, mono = _normalize_monomial(factors)
         return cls({mono: Fraction(coeff) * carry})
 
+    @classmethod
+    def from_terms(cls, terms) -> "SymbolicValue":
+        """Sum of coeff * prod(factors) over (coeff, factors) pairs, summed
+        in one dict and built once."""
+        out: dict[Monomial, Fraction] = {}
+        for coeff, factors in terms:
+            carry, mono = _normalize_monomial(factors)
+            out[mono] = out.get(mono, Fraction(0)) + Fraction(coeff) * carry
+        return cls(out)
+
     def terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self._terms.items(), key=lambda t: _display_key(t[0]))
 
@@ -280,25 +290,25 @@ def to_dirichlet_basis(v: SymbolicValue, k: int) -> SymbolicValue:
     products zeta(a)zeta(b) / L(a,chi3)L(b,chi3) (bare zeta(k) kept)."""
     if k % 2 == 0:
         raise ValueError("weight must be odd")
-    half = SymbolicValue.from_factors(Fraction(1, 2), [(SQRT3, 1)])
-    staged = SymbolicValue.zero()
+    staged = []
     for mono, coeff in v.terms():
-        acc = SymbolicValue.from_rational(coeff)
+        factors = []
         for sym, e in mono:
             if sym.kind == "S":
                 if sym.angle != Fraction(1, 3):
                     raise ValueError(
                         f"not in G2 constant field: S_{sym.index}({sym.angle})")
-                repl = half * SymbolicValue.from_factors(1, [(dirichlet_l3(sym.index), 1)])
-                acc = acc * repl ** e
+                # S_j(1/3) = (sqrt3/2) L(j,chi3)
+                coeff /= 2 ** e
+                factors += [(SQRT3, e), (dirichlet_l3(sym.index), e)]
             elif sym.kind == "C":
                 raise ValueError(
                     f"not in G2 constant field: C_{sym.index}({sym.angle})")
             else:
-                acc = acc * SymbolicValue.from_factors(1, [(sym, e)])
-        staged = staged + acc
-    out = SymbolicValue.zero()
-    for mono, coeff in staged.terms():
+                factors.append((sym, e))
+        staged.append((coeff, factors))
+    products = []
+    for mono, coeff in SymbolicValue.from_terms(staged).terms():
         e_pi = _mono_exp(mono, PI)
         has_s3 = _mono_exp(mono, SQRT3) == 1
         rest = [(s, e) for s, e in mono if s.kind not in ("pi", "sqrt3")]
@@ -312,7 +322,8 @@ def to_dirichlet_basis(v: SymbolicValue, k: int) -> SymbolicValue:
                 raise ValueError("odd pi power without sqrt(3) has no product form")
             coeff *= _pi_even_to_zeta(e_pi)
             rest.append((zeta(e_pi), 1))
-        out = out + SymbolicValue.from_factors(coeff, rest)
+        products.append((coeff, rest))
+    out = SymbolicValue.from_terms(products)
     for mono, _ in out.terms():
         if mono_weight(mono) != k:
             raise ValueError(f"weight {mono_weight(mono)} term in weight-{k} value")
@@ -430,7 +441,7 @@ def to_json_dict(v: SymbolicValue) -> dict:
 
 
 def from_json_dict(d: dict) -> SymbolicValue:
-    out = SymbolicValue.zero()
+    terms = []
     for t in d["terms"]:
         coeff = Fraction(int(t["num"]), int(t["den"]))
         factors = []
@@ -444,8 +455,8 @@ def from_json_dict(d: dict) -> SymbolicValue:
             else:
                 sym = BaseConstant(kind, f["index"])
             factors.append((sym, f["exp"]))
-        out = out + SymbolicValue.from_factors(coeff, factors)
-    return out
+        terms.append((coeff, factors))
+    return SymbolicValue.from_terms(terms)
 
 
 def to_json(v: SymbolicValue) -> str:

@@ -11,6 +11,15 @@ rational, divergent pieces must cancel exactly, and the reported tail
 bound is the first omitted term of each expansion (valid because the
 summands are completely monotone).  Results carry a rigorous bound or
 the evaluation raises; there is no silent truncation.
+
+Work that does not change between calls is done once.  The tail and
+its bound read zeta(r, M+1) and its s-derivative from `_tail_table`, one
+process-wide table keyed by (r, derivative order, M, dps) and filled on
+first use.  Each pass converts the partial-fraction coefficients to mpf,
+evaluates zeta(j) and psi(1) for the q = 0 part, and then computes each
+distinct power of m once per m.  The mpmath calls, their precision and
+the order of arithmetic are those of the direct evaluation, so every
+value is bit-identical to it.
 """
 from __future__ import annotations
 
@@ -189,6 +198,23 @@ def _normalize_factors(factors):
     return merged, scale
 
 
+# zeta(r, M+1) and its first s-derivative at dps digits, keyed by
+# (r, derivative order, M, dps); about 25 entries per (M, dps), so the
+# table needs no bound
+_tail_table: dict[tuple, object] = {}
+
+
+def _tail_zeta(r, derivative, M, dps):
+    """zeta(r, M+1), or its s-derivative at derivative 1, from `_tail_table`."""
+    key = (r, derivative, M, dps)
+    v = _tail_table.get(key)
+    if v is None:
+        with mp.workdps(dps):
+            v = mp.zeta(r, M + 1, derivative)
+        _tail_table[key] = v
+    return v
+
+
 def _lattice_pass(merged, scale, dps, M, K):
     """One evaluation at cutoff M; returns (value, tail_bound)."""
     A = 0
@@ -212,20 +238,32 @@ def _lattice_pass(merged, scale, dps, M, K):
         raise RuntimeError("residues of the 1/u parts do not sum to zero")
 
     with mp.workdps(dps):
+        # everything the head needs that does not depend on m, once per
+        # pass: each coefficient as an mpf, zeta(j) and psi(1) for q = 0,
+        # and the exponents of m (j - B for every term, and -A)
+        terms = [(q, j, mp.mpf(g.numerator) / g.denominator)
+                 for (q, j), g in gamma.items()]
+        zeta_j = {j: mp.zeta(j) for q, j, _ in terms if q == 0 and j >= 2}
+        psi_1 = mp.psi(0, mp.mpf(1)) if (0, 1) in gamma else None
+        exponents = {j - B for _, j, _ in terms} | {-A}
+
         def inner_sum(m):
+            power = {e: mp.power(m, e) for e in exponents}
             tot = mp.mpf(0)
-            for (q, j), g in gamma.items():
-                gm = mp.mpf(g.numerator) / g.denominator
+            for q, j, gm in terms:
                 if j >= 2:
                     if q == 0:
-                        h = mp.zeta(j)
+                        h = zeta_j[j]
                     else:
                         h = mp.zeta(j, 1 + mp.mpf(q.numerator) * m / q.denominator)
-                    tot += gm * mp.power(m, j - B) * h
+                    tot += gm * power[j - B] * h
                 else:
-                    x = mp.mpf(1) if q == 0 else 1 + mp.mpf(q.numerator) * m / q.denominator
-                    tot -= gm * mp.power(m, 1 - B) * mp.psi(0, x)
-            return tot * mp.power(m, -A)
+                    if q == 0:
+                        h = psi_1
+                    else:
+                        h = mp.psi(0, 1 + mp.mpf(q.numerator) * m / q.denominator)
+                    tot -= gm * power[1 - B] * h
+            return tot * power[-A]
 
         head = mp.fsum(inner_sum(m) for m in range(1, M + 1))
 
@@ -263,7 +301,7 @@ def _lattice_pass(merged, scale, dps, M, K):
                 omit = abs(g * b2(2 * K + 2) / factorial(2 * K + 2) * rise
                            * q ** (1 - j - 2 * K - 2))
                 bound += (mp.mpf(omit.numerator) / omit.denominator
-                          * mp.zeta(base + j + 1 + 2 * K, M + 1))
+                          * _tail_zeta(base + j + 1 + 2 * K, 0, M, dps))
             else:
                 gg = -g
                 r0 = A + B - 1
@@ -279,7 +317,7 @@ def _lattice_pass(merged, scale, dps, M, K):
                     c[r0 + 2 * rr][1] += -gg * b2(2 * rr) / (2 * rr * q ** (2 * rr))
                 omit = abs(gg * b2(2 * K + 2) / ((2 * K + 2) * q ** (2 * K + 2)))
                 bound += (mp.mpf(omit.numerator) / omit.denominator
-                          * mp.zeta(r0 + 2 * K + 2, M + 1))
+                          * _tail_zeta(r0 + 2 * K + 2, 0, M, dps))
 
         # any formally divergent coefficient must have cancelled exactly
         for r in [r for r in c if r < 2]:
@@ -302,12 +340,12 @@ def _lattice_pass(merged, scale, dps, M, K):
                 elif sym == ("gamma",):
                     coef += x * mp.euler
                 elif sym[0] == "zeta":
-                    coef += x * mp.zeta(sym[1])
+                    coef += x * zeta_j[sym[1]]
                 else:
                     coef += x * mp.log(mp.mpf(sym[1].numerator) / sym[1].denominator)
-            tail += coef * mp.zeta(r, M + 1)
+            tail += coef * _tail_zeta(r, 0, M, dps)
         for r, val in sorted(d.items()):
-            tail += -mp.mpf(val.numerator) / val.denominator * mp.zeta(r, M + 1, 1)
+            tail += -mp.mpf(val.numerator) / val.denominator * _tail_zeta(r, 1, M, dps)
 
         prefactor = scale * cn_scale
         pref = mp.mpf(prefactor.numerator) / prefactor.denominator

@@ -167,13 +167,8 @@ def _accumulate(parts: list, k: int, e: int, x: Fraction,
 
 def _value(acc: dict) -> SymbolicValue:
     """The sum of coeff pi^e mono over acc {(e, mono): coeff}."""
-    terms = {}
-    for (e, mono), coeff in acc.items():
-        if coeff:
-            (key, x), = SymbolicValue.from_factors(
-                coeff, [*mono, (PI, e)]).terms()
-            terms[key] = terms.get(key, 0) + x
-    return SymbolicValue(terms)
+    return SymbolicValue.from_terms((coeff, [*mono, (PI, e)])
+                                    for (e, mono), coeff in acc.items())
 
 
 def term1_coeff(req: EvalRequest) -> list:

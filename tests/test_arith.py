@@ -1,5 +1,6 @@
 """Bernoulli numbers/polynomials and binomials: exact values and the
 defining identities, in both conventions."""
+import sys
 import threading
 from fractions import Fraction
 from math import comb
@@ -7,6 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from tornheim import arith
 from tornheim.arith import bernoulli_number, bernoulli_poly, binomial
 
 F = Fraction
@@ -80,19 +82,27 @@ def test_binomial_zero_out_of_range():
             assert binomial(n, r) == comb(n, r)
 
 
-def test_cache_grows_safely_under_threads():
-    results = []
-
+def test_cache_grows_safely_under_threads(monkeypatch):
+    # eight threads grow an empty table at once, switching often
     def work():
         results.append(bernoulli_number(120, "at-zero"))
 
-    threads = [threading.Thread(target=work) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(results)) == 1
-    # spot value keeps the recurrence honest at depth
-    acc = sum(F(comb(121, j)) * bernoulli_number(j, "at-zero")
-              for j in range(121))
-    assert acc == 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            monkeypatch.setattr(arith, "_bern_cache", {0: F(1)})
+            results = []
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert len(results) == 8 and len(set(results)) == 1
+            # spot value keeps the recurrence honest at depth
+            acc = sum(F(comb(121, j)) * bernoulli_number(j, "at-zero")
+                      for j in range(121))
+            assert acc == 0
+    finally:
+        sys.setswitchinterval(interval)

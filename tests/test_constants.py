@@ -58,6 +58,18 @@ def test_monomial_normalization():
     assert sv(2, (PI, 1), (PI, 2)) == sv(2, (PI, 3))
 
 
+def test_from_terms_equals_the_sum_of_its_terms():
+    terms = [(2, [(zeta(3), 1)]), (F(1, 2), [(SQRT3, 2), (PI, 1)]),
+             (-2, [(zeta(3), 1)]), (1, [(PI, 1), (SQRT3, 1), (SQRT3, 1)]),
+             (0, [(zeta(5), 1)]), (F(-1, 3), [(SQRT3, 1), (PI, 2)])]
+    total = SymbolicValue.zero()
+    for coeff, factors in terms:
+        total = total + SymbolicValue.from_factors(coeff, factors)
+    built = SymbolicValue.from_terms(terms)
+    assert built == total == sv(F(9, 2), (PI, 1)) + sv(F(-1, 3), (SQRT3, 1), (PI, 2))
+    assert built.terms() == total.terms()
+
+
 def test_coefficient_accounts_for_carry():
     v = sv(5, (SQRT3, 2), (zeta(3), 1))     # = 15 zeta(3)
     assert v.coefficient([(zeta(3), 1)]) == 15

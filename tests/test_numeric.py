@@ -13,6 +13,7 @@ from tornheim.numeric import (DEFAULT_PRECISION, Precision, PrecisionError,
                               check_values, eval_constant, eval_symbolic,
                               lattice_sum, verify, _partial_fraction_coeffs)
 from tornheim import numeric
+from tornheim.g2 import G2Request
 from tornheim.parity import EvalRequest
 from tornheim.pfd import G2_FORMS
 
@@ -217,6 +218,38 @@ def test_verify_records_share_one_oracle_value():
     assert recs["right"].passed and not recs["wrong"].passed
     assert recs["right"].rhs == recs["wrong"].rhs
     assert recs["right"].cutoff == recs["wrong"].cutoff >= 40
+
+
+@pytest.mark.parametrize("factors", [
+    G2Request((1, 1, 1, 1, 1, 2)).factors,
+    EvalRequest(2, 3, 1, 2, 2).factors,
+], ids=["g2", "tornheim"])
+def test_tail_table_is_shared_and_exact(monkeypatch, factors):
+    monkeypatch.setattr(numeric, "_tail_table", {})
+    at_tail_point = []
+    plain_zeta = mp.zeta
+
+    def counting_zeta(s, a=1, *args, **kwargs):
+        # the tail's zeta(r, M+1) is the only call at an int point M+1
+        if type(a) is int and a == 41:
+            at_tail_point.append(s)
+        return plain_zeta(s, a, *args, **kwargs)
+
+    monkeypatch.setattr(mp, "zeta", counting_zeta)
+    cold = lattice_sum(factors, PREC)
+    assert cold[2] == 40 and at_tail_point
+    at_tail_point.clear()
+    warm = lattice_sum(factors, PREC)
+    assert warm == cold
+    assert at_tail_point == []
+
+    # a 60-digit call must not read the 40-digit entries: make them wrong
+    strict = Precision(50, 1e-35)
+    monkeypatch.setattr(numeric, "_tail_table",
+                        {k: 2 * v for k, v in numeric._tail_table.items()})
+    over_wrong = lattice_sum(factors, strict)
+    monkeypatch.setattr(numeric, "_tail_table", {})
+    assert over_wrong == lattice_sum(factors, strict)
 
 
 def test_eval_g2_series_matches_brute_force():
