@@ -1,5 +1,6 @@
 """Exact rational arithmetic helpers: Bernoulli numbers, Bernoulli
-polynomials and binomial coefficients.
+polynomials (one at a time, or B_0..B_k at one point) and binomial
+coefficients.
 
 Two Bernoulli conventions exist in the literature and both are needed
 here, so every call names one explicitly:
@@ -66,3 +67,19 @@ def bernoulli_poly(k: int, x: Rational) -> Fraction:
     return sum(
         Fraction(comb(k, j)) * _bern_cache[j] * x ** (k - j) for j in range(k + 1)
     )
+
+
+def bernoulli_polys(k: int, x: Rational) -> list[Fraction]:
+    """[B_0(x), ..., B_k(x)] from one list of the powers of x = n/d, kept
+    as the integer powers of n and d: d^q B_q(x) = sum_j C(q,j) B_j(0)
+    n^(q-j) d^j, so each term is one Bernoulli number times an integer."""
+    if k < 0:
+        raise ValueError("Bernoulli index must be >= 0")
+    x = Fraction(x)
+    if k not in _bern_cache:
+        _extend_bernoulli(k)
+    num = [x.numerator ** i for i in range(k + 1)]
+    den = [x.denominator ** i for i in range(k + 1)]
+    return [sum(_bern_cache[j] * (comb(q, j) * num[q - j] * den[j])
+                for j in range(q + 1) if _bern_cache[j]) / den[q]
+            for q in range(k + 1)]

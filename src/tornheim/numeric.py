@@ -15,11 +15,18 @@ the evaluation raises; there is no silent truncation.
 Work that does not change between calls is done once.  The tail and
 its bound read zeta(r, M+1) and its s-derivative from `_tail_table`, one
 process-wide table keyed by (r, derivative order, M, dps) and filled on
-first use.  Each pass converts the partial-fraction coefficients to mpf,
-evaluates zeta(j) and psi(1) for the q = 0 part, and then computes each
-distinct power of m once per m.  The mpmath calls, their precision and
-the order of arithmetic are those of the direct evaluation, so every
-value is bit-identical to it.
+first use.  The head reads zeta(j, 1+qm) and psi(1+qm) from one table
+per `lattice_sum` call, keyed by (order, exact argument 1+qm) and filled
+with one mpmath call per key; it spans every pass of the call and is
+dropped when the call returns.  Shifts whose arguments coincide (the G2
+sum's 1, 2, 3 and 3/2 share 1+24 = 1+2*12 = 1+3*8 = 1+(3/2)*16) and the
+m <= M of an escalating call's earlier passes thus cost one call each;
+a single nonzero shift makes the direct evaluation's calls, in its
+order.  Each pass converts the partial-fraction coefficients to mpf,
+forms each shift's argument once per m, and computes each distinct
+power of m once per m.  Each value is the same deterministic mpmath
+call at the same precision, made once, and the order of arithmetic is
+unchanged, so every result is bit-identical to the direct evaluation.
 """
 from __future__ import annotations
 
@@ -215,8 +222,9 @@ def _tail_zeta(r, derivative, M, dps):
     return v
 
 
-def _lattice_pass(merged, scale, dps, M, K):
-    """One evaluation at cutoff M; returns (value, tail_bound)."""
+def _lattice_pass(merged, scale, dps, M, K, heads):
+    """One evaluation at cutoff M; returns (value, tail_bound).  Reads and
+    extends `heads`, the calling `lattice_sum`'s table of head values."""
     A = 0
     cn_scale = Fraction(1)
     shifts: dict[Fraction, int] = {}
@@ -238,30 +246,40 @@ def _lattice_pass(merged, scale, dps, M, K):
         raise RuntimeError("residues of the 1/u parts do not sum to zero")
 
     with mp.workdps(dps):
+        def hurwitz(j, exact, x):
+            """zeta(j, x) for j >= 2, psi(x) for j = 1, with `exact` the
+            Fraction x; read from the call's head table, filled on first use."""
+            key = (j, exact)
+            h = heads.get(key)
+            if h is None:
+                h = heads[key] = mp.zeta(j, x) if j >= 2 else mp.psi(0, x)
+            return h
+
         # everything the head needs that does not depend on m, once per
-        # pass: each coefficient as an mpf, zeta(j) and psi(1) for q = 0,
-        # and the exponents of m (j - B for every term, and -A)
+        # pass: each coefficient as an mpf, zeta(j) and psi(1) for q = 0
+        # (in the direct evaluation's order), the nonzero shifts and the
+        # exponents of m (j - B for every term, and -A)
         terms = [(q, j, mp.mpf(g.numerator) / g.denominator)
                  for (q, j), g in gamma.items()]
-        zeta_j = {j: mp.zeta(j) for q, j, _ in terms if q == 0 and j >= 2}
-        psi_1 = mp.psi(0, mp.mpf(1)) if (0, 1) in gamma else None
+        one = (Fraction(1), mp.mpf(1))
+        zeta_j = {j: hurwitz(j, *one) for q, j, _ in terms if q == 0 and j >= 2}
+        if (0, 1) in gamma:
+            hurwitz(1, *one)
+        qs = {q for q, _, _ in terms if q != 0}
         exponents = {j - B for _, j, _ in terms} | {-A}
 
         def inner_sum(m):
             power = {e: mp.power(m, e) for e in exponents}
+            # each shift's argument 1 + q m, exact and as an mpf, once per m
+            arg = {q: (1 + q * m, 1 + mp.mpf(q.numerator) * m / q.denominator)
+                   for q in qs}
+            arg[0] = one
             tot = mp.mpf(0)
             for q, j, gm in terms:
+                h = hurwitz(j, *arg[q])
                 if j >= 2:
-                    if q == 0:
-                        h = zeta_j[j]
-                    else:
-                        h = mp.zeta(j, 1 + mp.mpf(q.numerator) * m / q.denominator)
                     tot += gm * power[j - B] * h
                 else:
-                    if q == 0:
-                        h = psi_1
-                    else:
-                        h = mp.psi(0, 1 + mp.mpf(q.numerator) * m / q.denominator)
                     tot -= gm * power[1 - B] * h
             return tot * power[-A]
 
@@ -379,8 +397,11 @@ def lattice_sum(factors, precision: Precision = DEFAULT_PRECISION,
     qmin = min((Fraction(cm, cn) for (cm, cn) in merged if cn > 0 and cm > 0),
                default=Fraction(1))
     M = cutoff if cutoff is not None else max(40, int(24 / qmin) + 1)
+    # zeta(j, 1+qm) and psi(1+qm) by (order j, exact 1+qm), for every pass
+    heads: dict[tuple, object] = {}
     while True:
-        value, bound = _lattice_pass(merged, scale, precision.dps, M, order)
+        value, bound = _lattice_pass(merged, scale, precision.dps, M, order,
+                                     heads)
         target = mp.mpf(precision.tolerance) * max(abs(value), mp.mpf("1e-30"))
         if bound <= target:
             return value, bound, M

@@ -42,7 +42,7 @@ from functools import cache
 from math import comb, factorial, gcd
 from types import MappingProxyType
 
-from .arith import bernoulli_number, bernoulli_poly
+from .arith import bernoulli_number, bernoulli_polys
 from .constants import PI, SymbolicValue, mono_weight, reduce_angle, zeta
 
 
@@ -212,12 +212,14 @@ def term2_coeff(req: EvalRequest) -> list:
                 lead[(c, big_q)] = lead.get((c, big_q), 0) + at * (
                     comb(big_q - 1, j) * b ** j * (-1) ** (big_q - 1 - j))
 
-    @cache
-    def bern(c, q):
-        """B_q(c/b) / q!; at c = b, B_q(1) / q! from the Bernoulli numbers."""
-        if c == b:
-            return bernoulli_number(q, "at-one") / factorial(q)
-        return bernoulli_poly(q, Fraction(c, b)) / factorial(q)
+    # B_q(c/b) / q! for every q below, one list per c built from one list
+    # of powers of c/b; at c = b, B_q(1) / q! from the Bernoulli numbers
+    top = max((big_q for _, big_q in lead), default=1) - 1
+    bern = {c: [v / factorial(q)
+                for q, v in enumerate(bernoulli_polys(top, Fraction(c, b)))]
+            for c in {c for c, _ in lead}}
+    bern[b] = [bernoulli_number(q, "at-one") / factorial(q)
+               for q in range(top + 1)]
 
     # with big_q = s + q and e = k2+k3-s, the term is (-1)^s 2^e pi^e /
     # (a^s q!) times
@@ -230,8 +232,8 @@ def term2_coeff(req: EvalRequest) -> list:
         for s in range(1, big_q + 1):
             q = big_q - s
             if (p + s) % 2 == 0:
-                zeta_w[s] = zeta_w.get(s, 0) + w * bern(b, q)
-            clausen_w[(c, s)] = clausen_w.get((c, s), 0) - w * bern(c, q)
+                zeta_w[s] = zeta_w.get(s, 0) + w * bern[b][q]
+            clausen_w[(c, s)] = clausen_w.get((c, s), 0) - w * bern[c][q]
     parts = [{}, {}]
     for s, w in zeta_w.items():
         e = k2 + k3 - s

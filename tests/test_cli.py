@@ -249,6 +249,15 @@ def test_insufficient_precision_is_usage_error():
     assert "guard digits" in err
 
 
+@pytest.mark.parametrize("digits,code", [("19", 2), ("20", 0)])
+def test_precision_floor_follows_the_tolerance(digits, code):
+    # digits >= ceil(-log10 tol) + 10: 20 at the default tolerance 1e-10
+    got, _, err = run_cli("eval", "--a", "1", "--b", "1", "--k", "1", "1", "3",
+                          "--verify", "--prec", digits)
+    assert got == code
+    assert ("need >= 20" in err) == (code == 2)
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "tornheim.cli", "--version"],

@@ -252,6 +252,59 @@ def test_tail_table_is_shared_and_exact(monkeypatch, factors):
     assert over_wrong == lattice_sum(factors, strict)
 
 
+@pytest.fixture
+def head_calls(monkeypatch):
+    """(order, argument) of every mp.zeta and mp.psi call the head makes,
+    order 1 standing for psi; the tail's calls at the int M+1 are left out."""
+    calls = []
+    plain_zeta, plain_psi = mp.zeta, mp.psi
+
+    def zeta(s, a=1, *args, **kwargs):
+        if isinstance(a, mp.mpf):
+            calls.append((s, a))
+        return plain_zeta(s, a, *args, **kwargs)
+
+    def psi(order, x, **kwargs):
+        calls.append((1, x))
+        return plain_psi(order, x, **kwargs)
+
+    monkeypatch.setattr(mp, "zeta", zeta)
+    monkeypatch.setattr(mp, "psi", psi)
+    return calls
+
+
+def test_g2_head_evaluates_each_argument_once(head_calls):
+    # lattice_sum sums the request's m exactly, so m, m+n, m+2n, m+3n and
+    # 2m+3n of (1,1,2,2,2,3) give the shifts 0, 1, 2, 3, 3/2 with exponents
+    # 1, 2, 2, 2, 3, and the head's arguments 1+qx (x the outer variable)
+    # coincide often, e.g. 1+24 = 1+2*12 = 1+3*8 = 1+(3/2)*16
+    _, _, M = lattice_sum(G2Request((1, 1, 2, 2, 2, 3)).factors, PREC)
+    shifts = {F(1): 2, F(2): 2, F(3): 2, F(3, 2): 3}
+    needed = {(j, 1 + q * m) for q, beta in shifts.items()
+              for j in range(1, beta + 1) for m in range(1, M + 1)}
+    needed.add((1, F(1)))
+    assert len(head_calls) == len(needed) < M * sum(shifts.values()) + 1
+    assert {(j, F(int(2 * x), 2)) for j, x in head_calls} == needed
+
+
+def test_eval_head_calls_are_unchanged(head_calls):
+    # one nonzero shift, 3/2 with exponent 4: four calls per m, none shared,
+    # plus psi(1) for the shift 0 (the exponent 1 of m)
+    _, _, M = lattice_sum(EvalRequest(2, 3, 1, 2, 4).factors, PREC)
+    assert len(head_calls) == len(set(head_calls)) == 4 * M + 1
+    assert sum(j >= 2 for j, _ in head_calls) == 3 * M
+
+
+def test_escalated_call_evaluates_no_argument_twice(head_calls):
+    # zeta(2), psi(1) and psi(1+m) for m up to the final cutoff, once each
+    # over every pass from the seed 4 up
+    factors = [(1, 0, 2), (0, 1, 2), (1, 1, 1)]
+    _, _, M = lattice_sum(factors, Precision(digits=30, tolerance=1e-20),
+                          cutoff=4)
+    assert M > 4
+    assert len(head_calls) == len(set(head_calls)) == M + 2
+
+
 def test_eval_g2_series_matches_brute_force():
     # weight 6, so straight from the forms: G2Request takes odd weight only
     full = lattice_sum([(f.cm, f.cn, 1) for f in G2_FORMS], PREC)[0]

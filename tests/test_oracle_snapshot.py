@@ -1,11 +1,14 @@
 """Snapshot of the series oracle's own output.
 
 Other tests check `lattice_sum` against anchors and tolerances; this one
-pins the strings it yields for 40 factor sets, so that a change to the
-oracle's arithmetic (caching, hoisting, reordering) must leave every
-digit, every tail bound and every cutoff where it was:
+pins the strings it yields for 52 factor sets, so that a change to the
+oracle's arithmetic (caching, hoisting, reordering, sharing values
+between shifts) must leave every digit, every tail bound and every
+cutoff where it was:
 
 - the 6 G2 requests of weight 7 and every tenth of the 56 of weight 9;
+- 6 G2 requests each of weight 11 and 13 with at least two of k3..k6
+  >= 2, where the four shifts share the most Hurwitz arguments;
 - every weight-5 row of the four G2 pairs (1,1), (1,2), (1,3), (2,3);
 - 4 `eval` requests with b in 4..8 at 50 digits and tolerance 1e-35.
 
@@ -42,6 +45,10 @@ def _compositions(weight, parts):
 def cases():
     """(key, factors, precision) for every pinned factor set."""
     g2 = list(_compositions(7, 6)) + list(_compositions(9, 6))[::10]
+    for weight in (11, 13):
+        dense = [ks for ks in _compositions(weight, 6)
+                 if sum(k >= 2 for k in ks[2:]) >= 2]
+        g2 += dense[::len(dense) // 6]
     for ks in g2:
         yield ("g2 " + " ".join(map(str, ks)), G2Request(ks).factors,
                DEFAULT_PRECISION)
@@ -68,7 +75,7 @@ def _load():
 
 def test_snapshot_covers_every_case():
     keys = [key for key, _, _ in cases()]
-    assert len(keys) == len(set(keys)) == 40
+    assert len(keys) == len(set(keys)) == 52
     assert sorted(_load()) == sorted(keys)
 
 
