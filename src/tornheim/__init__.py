@@ -4,7 +4,7 @@ values at odd weight, with mandatory high-precision numeric verification.
 
 __version__ = "0.1.0"
 
-from .arith import Rational, bernoulli_number, bernoulli_poly, binomial
+from .arith import Rational, bernoulli_number, bernoulli_poly
 from .constants import (SymbolicValue, exact_L_value, reduce_angle,
                         to_dirichlet_basis, to_json, to_latex, to_text)
 from .g2 import G2ClosedForm, G2Request, VerificationError, evaluate_g2
@@ -14,7 +14,7 @@ from .numeric import (NumericCheckRecord, Precision, PrecisionError,
 from .parity import EvalRequest, closed_form
 
 __all__ = [
-    "Rational", "bernoulli_number", "bernoulli_poly", "binomial",
+    "Rational", "bernoulli_number", "bernoulli_poly",
     "SymbolicValue", "reduce_angle", "to_dirichlet_basis", "exact_L_value",
     "to_latex", "to_text", "to_json",
     "EvalRequest", "closed_form",

@@ -1,6 +1,5 @@
-"""Exact rational arithmetic helpers: Bernoulli numbers, Bernoulli
-polynomials (one at a time, or B_0..B_k at one point) and binomial
-coefficients.
+"""Exact rational arithmetic helpers: Bernoulli numbers and Bernoulli
+polynomials (one at a time, or B_0..B_k at one point).
 
 Two Bernoulli conventions exist in the literature and both are needed
 here, so every call names one explicitly:
@@ -26,13 +25,6 @@ _CONVENTIONS = ("at-zero", "at-one")
 # every entry below it, and always with the same value, so holding k
 # means holding 0..k; a repeated write is harmless and no lock is needed
 _bern_cache: dict[int, Fraction] = {0: Fraction(1)}
-
-
-def binomial(n: int, r: int) -> int:
-    """C(n, r), defined as 0 when r < 0 or r > n."""
-    if r < 0 or r > n:
-        return 0
-    return comb(n, r)
 
 
 def _extend_bernoulli(k: int) -> None:

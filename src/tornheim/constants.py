@@ -150,10 +150,6 @@ class SymbolicValue:
         return cls()
 
     @classmethod
-    def from_rational(cls, x: Rational) -> "SymbolicValue":
-        return cls({(): Fraction(x)})
-
-    @classmethod
     def from_factors(cls, coeff: Rational, factors) -> "SymbolicValue":
         """coeff * prod of (BaseConstant, exponent) pairs."""
         carry, mono = _normalize_monomial(factors)
@@ -210,14 +206,6 @@ class SymbolicValue:
         return SymbolicValue(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers unsupported")
-        out = SymbolicValue.from_rational(1)
-        for _ in range(e):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, SymbolicValue):

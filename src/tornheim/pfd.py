@@ -7,11 +7,13 @@ forms u, w in a term and an eliminator v:
 
     1/(u w) = (1/(c v)) (alpha/w + beta/u)
 
-iterated until one of u, w disappears from each branch.  Every step can
-be verified as an exact polynomial identity in Q[m,n] (verify_step), and
-the reducer drives arbitrary products over the six-form set
-{m, n, m+n, m+2n, m+3n, 2m+3n} down to the shape m^-e1 n^-e2 (am+bn)^-e3
-whose lattice sum is the double series zeta_{a,b}(e1,e2,e3).
+applied to u^-r w^-s until one of u, w disappears from each branch; the
+r + s resulting terms have binomial coefficients and are written directly
+(split_pair).  Every step can be verified as an exact polynomial identity
+in Q[m,n] (verify_step), and the reducer drives arbitrary products over
+the six-form set {m, n, m+n, m+2n, m+3n, 2m+3n} down to the shape
+m^-e1 n^-e2 (am+bn)^-e3 whose lattice sum is the double series
+zeta_{a,b}(e1,e2,e3), merging equal terms before each level of splits.
 """
 from __future__ import annotations
 
@@ -136,22 +138,27 @@ class TermSum:
 def split_pair(t: TermProduct, u: LinearForm, w: LinearForm,
                relation: Relation) -> TermSum:
     """Eliminate the (u,w) pair from t using alpha*u + beta*w = c*v;
-    output terms carry pairs (v,u) or (v,w) only, weights preserved."""
+    output terms carry pairs (v,u) or (v,w) only, weights preserved.
+
+    With a = alpha/c, b = beta/c and r, s the exponents of u, w, the
+    r + s terms are written directly:
+
+      u^-r w^-s = sum_{j<s} C(r-1+j, j) a^r b^j v^-(r+j) w^-(s-j)
+                + sum_{i<r} C(s-1+i, i) a^i b^s v^-(s+i) u^-(r-i)
+    """
     r, s = t.exponent(u), t.exponent(w)
     if u == w or r < 1 or s < 1:
         raise ValueError("term must contain two distinct forms u, w")
     c = relation_scale(u, w, relation)
+    a, b = relation.alpha / c, relation.beta / c
     rest = [(f, e) for f, e in t.exponents if f != u and f != w]
-    out = []
-    stack = [(t.coeff, r, s, 0)]
-    while stack:
-        coeff, eu, ew, ev = stack.pop()
-        if eu == 0 or ew == 0:
-            out.append(TermProduct.make(
-                coeff, rest + [(relation.v, ev), (u, eu), (w, ew)]))
-        else:
-            stack.append((coeff * relation.alpha / c, eu - 1, ew, ev + 1))
-            stack.append((coeff * relation.beta / c, eu, ew - 1, ev + 1))
+    v = relation.v
+    out = [TermProduct.make(t.coeff * comb(r - 1 + j, j) * a ** r * b ** j,
+                            rest + [(v, r + j), (w, s - j)])
+           for j in range(s)]
+    out += [TermProduct.make(t.coeff * comb(s - 1 + i, i) * a ** i * b ** s,
+                             rest + [(v, s + i), (u, r - i)])
+            for i in range(r)]
     return TermSum.make(out)
 
 
@@ -224,45 +231,45 @@ def trace_to_json(trace) -> list:
     return out
 
 
+def _targets(t: TermProduct) -> list[LinearForm]:
+    return [f for f, _ in t.exponents if f not in (FORM_M, FORM_N)]
+
+
 def reduce_to_tornheim(ts: TermSum, trace: list | None = None) -> TermSum:
     """Rewrite every term down to support {m, n, L} with L a target form.
 
-    Deterministic strategy: in each term take the two smallest distinct
-    non-basis forms and eliminate the pair through m with derive_relation.
-    Each step is verified exactly; a step-count watchdog of 4^weight
-    guards termination.
+    Deterministic strategy, one level at a time: equal terms are merged,
+    then in every term the two smallest distinct non-basis forms are
+    eliminated through m with derive_relation.  A split trades one target
+    form for m, so at most len(G2_TARGETS) levels are needed; terms still
+    left after the last level mean the relations do not shrink the
+    support.  Each step is verified exactly.
     """
-    basis_forms = (FORM_M, FORM_N)
-    maxweight = 0
-    for t in ts:
-        if any(f not in G2_FORMS for f in t.support):
-            raise ValueError("unsupported form system")
-        maxweight = max(maxweight, t.weight)
-    watchdog = 4 ** maxweight
-    steps = 0
-    queue = list(ts)
-    done = []
-    while queue:
-        t = queue.pop()
-        nonbasis = [f for f, _ in t.exponents if f not in basis_forms]
-        if len(nonbasis) <= 1:
-            done.append(t)
-            continue
-        u, w = nonbasis[0], nonbasis[1]
-        rel = derive_relation(u, w)
-        pieces = split_pair(t, u, w, rel)
-        steps += 1
-        if steps > watchdog:
-            raise RuntimeError("rewrite exceeded its step budget")
-        if not verify_step(TermSum.make([t]), pieces):
-            raise RuntimeError(f"rewrite step failed exact verification on {t}")
-        if trace is not None:
-            trace.append(RewriteStep(t, u, w, rel, pieces))
-        queue.extend(pieces)
+    if any(f not in G2_FORMS for t in ts for f in t.support):
+        raise ValueError("unsupported form system")
+    done, level = [], list(ts)
+    for _ in range(len(G2_TARGETS)):
+        pieces = []
+        for t in TermSum.make(level):
+            nonbasis = _targets(t)
+            if len(nonbasis) <= 1:
+                done.append(t)
+                continue
+            u, w = nonbasis[0], nonbasis[1]
+            rel = derive_relation(u, w)
+            produced = split_pair(t, u, w, rel)
+            if not verify_step(TermSum.make([t]), produced):
+                raise RuntimeError(f"rewrite step failed exact verification on {t}")
+            if trace is not None:
+                trace.append(RewriteStep(t, u, w, rel, produced))
+            pieces.extend(produced)
+        level = pieces
+    if level:
+        raise RuntimeError("rewrite exceeded its step budget")
     result = TermSum.make(done)
     for t in result:
-        nonbasis = [f for f, _ in t.exponents if f not in basis_forms]
-        if len(nonbasis) != 1 or any(t.exponent(f) < 1 for f in basis_forms):
+        nonbasis = _targets(t)
+        if len(nonbasis) != 1 or any(t.exponent(f) < 1 for f in (FORM_M, FORM_N)):
             raise ValueError(f"term {t} did not reduce to basis-pair + target shape")
         if nonbasis[0] not in G2_TARGETS:
             raise ValueError(f"terminal form {nonbasis[0]} is not a target")

@@ -1,4 +1,4 @@
-"""Bernoulli numbers/polynomials and binomials: exact values and the
+"""Bernoulli numbers and polynomials: exact values and the
 defining identities, in both conventions."""
 import sys
 import threading
@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tornheim import arith
-from tornheim.arith import (bernoulli_number, bernoulli_poly,
-                            bernoulli_polys, binomial)
+from tornheim.arith import bernoulli_number, bernoulli_poly, bernoulli_polys
 
 F = Fraction
 
@@ -79,14 +78,6 @@ def test_poly_reflection(k, x):
        st.fractions(min_value=-3, max_value=3, max_denominator=12))
 def test_polys_at_one_point_match_one_at_a_time(k, x):
     assert bernoulli_polys(k, x) == [bernoulli_poly(q, x) for q in range(k + 1)]
-
-
-def test_binomial_zero_out_of_range():
-    assert binomial(5, -1) == 0
-    assert binomial(5, 6) == 0
-    for n in range(0, 12):
-        for r in range(0, n + 1):
-            assert binomial(n, r) == comb(n, r)
 
 
 def test_cache_grows_safely_under_threads(monkeypatch):

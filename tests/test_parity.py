@@ -199,6 +199,22 @@ def test_closed_form_matches_series(a, b, k1, k2, k3):
         assert abs(lhs - rhs) <= mp.mpf("1e-25") * abs(rhs)
 
 
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 1), (1, 3), (2, 3),
+                                 (3, 2), (1, 4), (3, 5), (2, 5), (3, 7),
+                                 (5, 8), (8, 3)])
+def test_closed_forms_satisfy_the_partial_fraction_recurrence(a, b):
+    # 1/(mn) = (a/n + b/m)/(am+bn) gives, exactly and with no oracle,
+    # zeta_{a,b}(k1,k2,k3) = a zeta_{a,b}(k1-1,k2,k3+1) + b zeta_{a,b}(k1,k2-1,k3+1)
+    for weight in (5, 7, 9):
+        for k1 in range(2, weight - 2):
+            for k2 in range(2, weight - k1):
+                k3 = weight - k1 - k2
+                lhs = closed_form(EvalRequest(a, b, k1, k2, k3))
+                rhs = (closed_form(EvalRequest(a, b, k1 - 1, k2, k3 + 1)) * a
+                       + closed_form(EvalRequest(a, b, k1, k2 - 1, k3 + 1)) * b)
+                assert lhs == rhs, (weight, k1, k2, k3)
+
+
 def test_closed_form_structure():
     # weight-homogeneous; one zeta/Clausen factor per monomial; the pi
     # power is even with zeta/C and odd with S; Clausen denominators
@@ -246,7 +262,7 @@ def test_imaginary_cancellation_check_survives_optimize():
               "term2 = p.term2_coeff\n"
               "def stray(req):\n"
               "    re, im = term2(req)\n"
-              "    return [re, im + p.SymbolicValue.from_rational(1)]\n"
+              "    return [re, im + p.SymbolicValue.from_factors(1, [])]\n"
               "p.term2_coeff = stray\n"
               "try:\n"
               "    p.closed_form(p.EvalRequest(1, 2, 1, 1, 3))\n"

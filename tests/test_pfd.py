@@ -1,5 +1,6 @@
 """Partial-fraction rewriting: the atomic split, exact step verification,
 the derived relations, and the full reducer."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -85,6 +86,41 @@ def test_split_pair_by_hand():
     assert verify_step(TermSum.make([tp(1, (U, 1), (W, 1))]), out)
 
 
+def _split_by_paths(t, u, w, relation):
+    # reference: walk every path of 1/(uw) = (1/(cv))(alpha/w + beta/u),
+    # C(r+s, r) of them, until one of u, w is gone from each branch
+    r, s = t.exponent(u), t.exponent(w)
+    c = relation_scale(u, w, relation)
+    rest = [(f, e) for f, e in t.exponents if f != u and f != w]
+    out = []
+    stack = [(t.coeff, r, s, 0)]
+    while stack:
+        coeff, eu, ew, ev = stack.pop()
+        if eu == 0 or ew == 0:
+            out.append(TermProduct.make(
+                coeff, rest + [(relation.v, ev), (u, eu), (w, ew)]))
+        else:
+            stack.append((coeff * relation.alpha / c, eu - 1, ew, ev + 1))
+            stack.append((coeff * relation.beta / c, eu, ew - 1, ev + 1))
+    return TermSum.make(out)
+
+
+# the derived relations include scales c = 1, 2 and 3
+@pytest.mark.parametrize("u,w,rel", [pytest.param(U, W, REL_N, id="REL_N")] + [
+    pytest.param(u, w, derive_relation(u, w), id=f"{u},{w}")
+    for u in G2_TARGETS for w in G2_TARGETS if u != w])
+def test_split_pair_matches_the_path_walk(u, w, rel):
+    for r in range(1, 8):
+        for s in range(1, 8):
+            # every other term also carries powers of m and n, which merge
+            # with the eliminator's
+            extra = [(FORM_M, 2), (FORM_N, 3)] if (r + s) % 2 else []
+            t = tp(F(-5, 3), (u, r), (w, s), *extra)
+            out = split_pair(t, u, w, rel)
+            assert out == _split_by_paths(t, u, w, rel)
+            assert len(out.terms) <= r + s
+
+
 def test_split_pair_requires_both_forms():
     with pytest.raises(ValueError):
         split_pair(tp(1, (U, 2)), U, W, REL_N)
@@ -129,6 +165,22 @@ def test_reduce_is_deterministic():
     ts = TermSum.make([tp(1, (FORM_M, 1), (FORM_N, 1), (U, 1), (W, 2),
                           (LinearForm(2, 3), 1))])
     assert reduce_to_tornheim(ts) == reduce_to_tornheim(ts)
+
+
+def _g2_requests(weight):
+    return [ks for ks in itertools.product(range(1, weight - 4), repeat=6)
+            if sum(ks) == weight]
+
+
+@pytest.mark.parametrize("ks", _g2_requests(9) + [(7, 7, 7, 7, 7, 8)])
+def test_reduce_splits_each_exponent_tuple_once(ks):
+    # equal terms are merged before they are split, so no two steps of a
+    # reduction split the same product of forms
+    ts = TermSum.make([TermProduct.make(1, list(zip(G2_FORMS, ks)))])
+    trace = []
+    reduce_to_tornheim(ts, trace=trace)
+    split = [st.term.exponents for st in trace]
+    assert trace and len(set(split)) == len(split)
 
 
 def test_reduce_rejects_foreign_forms():
