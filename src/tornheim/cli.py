@@ -2,7 +2,7 @@
 
     tornheim eval  --a A --b B --k K1 K2 K3 [--basis ...] [--format ...]
     tornheim g2    --k K1 K2 K3 K4 K5 K6 [--show-reduction]
-    tornheim table --weight W --pairs A,B [A,B ...]
+    tornheim table --weight W --pairs A,B [A,B ...] [--format text|json]
 
 Exit codes: 0 verified/ok, 1 internal error, 2 usage error,
 3 verification failure.  TORNHEIM_PREC sets the default working digits.
@@ -28,13 +28,13 @@ def ruleset_hash() -> str:
     return digest.hexdigest()[:16]
 
 
-def _add_numeric_flags(p: argparse.ArgumentParser):
+def _add_numeric_flags(p: argparse.ArgumentParser,
+                       formats=("text", "json", "latex")):
     p.add_argument("--prec", type=int,
                    help="working decimal digits (default 30 or $TORNHEIM_PREC)")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="relative verification tolerance (default 1e-10)")
-    p.add_argument("--format", choices=("text", "json", "latex"),
-                   default="text")
+    p.add_argument("--format", choices=formats, default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--weight", type=int, required=True)
     p_tab.add_argument("--pairs", nargs="+", required=True, metavar="A,B",
                        help="series parameters, e.g. --pairs 1,1 1,3 2,5")
-    _add_numeric_flags(p_tab)
+    _add_numeric_flags(p_tab, formats=("text", "json"))
     return parser
 
 

@@ -8,6 +8,12 @@ zeta_{a,b}(e1,e2,e3) with (a,b) in {(1,1),(1,2),(1,3),(2,3)}, closed
 forms via the parity engine, and conversion to the product basis
 zeta(2n)zeta(k-2n) / L(2n+1,chi3)L(k-2n-1,chi3).
 
+The process keeps one Clausen closed form per distinct reduced term in
+`_closed_forms`, filled on first use.  G2 requests of one weight share
+few terms (12, 40, 84 and 144 distinct terms at weights 7, 9, 11 and
+13), so the dict is bounded by them and needs no limit.  Every entry
+passed `closed_form`'s own checks when it was computed.
+
 Every result is verified against the high-precision double series
 before it is returned; an identity that fails its numeric check raises
 VerificationError instead of being emitted.
@@ -103,12 +109,23 @@ def request_term_sum(req: G2Request) -> pfd.TermSum:
         1, list(zip(pfd.G2_FORMS, req.ks)))])
 
 
+# EvalRequest -> its Clausen closed form, shared by every request that
+# reduces to that term; SymbolicValue has no in-place operator, so callers
+# cannot mutate a shared value
+_closed_forms: dict[EvalRequest, SymbolicValue] = {}
+
+
 def reduced_closed_form(reduced: pfd.TermSum) -> SymbolicValue:
-    """Clausen-basis closed form of a reduced sum of zeta_{a,b} terms."""
+    """Clausen-basis closed form of a reduced sum of zeta_{a,b} terms, each
+    term's closed form read from `_closed_forms`."""
     clausen = SymbolicValue.zero()
     for t in reduced:
         a, b, (e1, e2, e3) = _term_parameters(t)
-        clausen = clausen + closed_form(EvalRequest(a, b, e1, e2, e3)) * t.coeff
+        req = EvalRequest(a, b, e1, e2, e3)
+        value = _closed_forms.get(req)
+        if value is None:
+            value = _closed_forms[req] = closed_form(req)
+        clausen = clausen + value * t.coeff
     return clausen
 
 

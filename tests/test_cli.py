@@ -1,10 +1,13 @@
 """Command line contract: output formats, exit codes, JSON schema."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tornheim
 from tornheim import __version__
 from tornheim import cli, numeric
 from tornheim.constants import from_json_dict
@@ -208,6 +211,13 @@ def test_table_validation():
     assert run_cli("table", "--weight", "5", "--pairs", "0,1")[0] == 2
 
 
+def test_table_has_no_latex_format():
+    code, out, err = run_cli("table", "--weight", "5", "--pairs", "1,1",
+                             "--format", "latex")
+    assert code == 2
+    assert out == "" and "invalid choice: 'latex'" in err
+
+
 def test_table_weight_three():
     code, out, _ = run_cli("table", "--weight", "3", "--pairs", "1,1", "1,2",
                            "2,3", "--format", "json")
@@ -259,9 +269,13 @@ def test_precision_floor_follows_the_tolerance(digits, code):
 
 
 def test_console_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(tornheim.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "tornheim.cli", "--version"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__
 

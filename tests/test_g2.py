@@ -1,17 +1,23 @@
 """End-to-end six-form lattice zeta evaluation: exact anchors, reduction
 shape, mandatory verification, serialization."""
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
-from tornheim import numeric
+from tornheim import g2, numeric, parity
 from tornheim.constants import (PI, SymbolicValue, clausen_s, dirichlet_l3,
-                                from_json_dict, mono_weight, zeta)
+                                from_json_dict, mono_weight,
+                                to_dirichlet_basis, to_json_dict, zeta)
 from tornheim.g2 import (G2Request, VerificationError, evaluate_g2,
-                         request_term_sum)
+                         reduced_closed_form, request_term_sum)
 from tornheim.numeric import Precision, eval_symbolic
-from tornheim.pfd import verify_step
+from tornheim.parity import EvalRequest, closed_form
+from tornheim.pfd import reduce_to_tornheim, verify_step
+
+G2_FORMS = Path(__file__).parent / "data" / "g2_forms.json"
 
 F = Fraction
 
@@ -106,3 +112,55 @@ def test_json_round_trip():
     assert {r["a"] for r in data["reduction"]} <= {1, 2}
     assert all(rec["passed"] for rec in data["checks"].values())
     assert data["digits"] == 30 and data["tolerance"] == 1e-10
+
+
+def _reduced_terms(reduced):
+    terms = set()
+    for t in reduced:
+        a, b, e = g2._term_parameters(t)
+        terms.add(EvalRequest(a, b, *e))
+    return terms
+
+
+def test_closed_form_memo_holds_each_distinct_term_once(monkeypatch):
+    monkeypatch.setattr(g2, "_closed_forms", {})
+    computed = []
+    monkeypatch.setattr(g2, "closed_form",
+                        lambda req: computed.append(req) or closed_form(req))
+    # the snapshot's keys are the 62 G2 requests of weights 7 and 9
+    snapshot = json.loads(G2_FORMS.read_text())
+    requests = [G2Request(tuple(int(k) for k in key.split(",")))
+                for key in snapshot]
+    distinct = {7: set(), 9: set()}
+    for req in requests:
+        reduced = reduce_to_tornheim(request_term_sum(req))
+        reduced_closed_form(reduced)
+        distinct[req.weight] |= _reduced_terms(reduced)
+        assert distinct[req.weight] <= set(g2._closed_forms)
+    assert {w: len(t) for w, t in distinct.items()} == {7: 12, 9: 40}
+    assert set(g2._closed_forms) == distinct[7] | distinct[9]
+    assert len(computed) == len(set(computed)) == 52
+
+    memo = dict(g2._closed_forms)
+    monkeypatch.setattr(parity, "_TABLES", {})
+    for req, value in memo.items():
+        assert value == closed_form(req)
+
+    # with every term already held, the forms match the snapshot in any order
+    for key, req in reversed(list(zip(snapshot, requests))):
+        clausen = reduced_closed_form(
+            reduce_to_tornheim(request_term_sum(req)))
+        assert {"clausen": to_json_dict(clausen),
+                "dirichlet": to_json_dict(
+                    to_dirichlet_basis(clausen, req.weight))} == snapshot[key]
+    assert g2._closed_forms == memo and len(computed) == 52
+
+
+def test_wrong_memo_entry_fails_the_oracle_check(monkeypatch):
+    req = G2Request((2, 1, 1, 1, 1, 1))
+    term = sorted(_reduced_terms(reduce_to_tornheim(request_term_sum(req))),
+                  key=repr)[0]
+    wrong = closed_form(term) + sv(1, (zeta(7), 1))
+    monkeypatch.setattr(g2, "_closed_forms", {term: wrong})
+    with pytest.raises(VerificationError, match="residual"):
+        evaluate_g2(req)
