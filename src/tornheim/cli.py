@@ -56,6 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--verify", action="store_true",
                         help="check the result against the numeric series")
     _add_numeric_flags(p_eval)
+    p_eval.set_defaults(run=cmd_eval)
 
     p_g2 = sub.add_parser("g2", help="closed form of zeta(k1..k6; G2)")
     p_g2.add_argument("--k", type=int, nargs=6, required=True,
@@ -63,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_g2.add_argument("--show-reduction", action="store_true",
                       help="include the double-series reduction")
     _add_numeric_flags(p_g2)
+    p_g2.set_defaults(run=cmd_g2)
 
     p_tab = sub.add_parser(
         "table", help="all compositions of a weight, verified, one per line")
@@ -70,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--pairs", nargs="+", required=True, metavar="A,B",
                        help="series parameters, e.g. --pairs 1,1 1,3 2,5")
     _add_numeric_flags(p_tab, formats=("text", "json"))
+    p_tab.set_defaults(run=cmd_table)
     return parser
 
 
@@ -97,8 +100,6 @@ def _emit(record: dict):
 
 
 def cmd_eval(parser, args) -> int:
-    if sum(args.k) % 2 == 0:
-        parser.error("weight must be odd")
     try:
         req = EvalRequest(args.a, args.b, *args.k)
     except ValueError as exc:
@@ -133,8 +134,6 @@ def cmd_eval(parser, args) -> int:
 
 
 def cmd_g2(parser, args) -> int:
-    if sum(args.k) % 2 == 0:
-        parser.error("weight must be odd")
     try:
         req = G2Request(tuple(args.k))
     except ValueError as exc:
@@ -216,11 +215,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "eval":
-            return cmd_eval(parser, args)
-        if args.command == "g2":
-            return cmd_g2(parser, args)
-        return cmd_table(parser, args)
+        return args.run(parser, args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3

@@ -43,7 +43,8 @@ class G2Request:
         if len(self.ks) != 6 or min(self.ks) < 1:
             raise ValueError("need six exponents >= 1")
         if self.weight % 2 == 0:
-            raise ValueError("parity theorem applies to odd weight only")
+            raise ValueError(
+                "weight must be odd: the parity theorem covers odd weight only")
 
     @property
     def weight(self) -> int:

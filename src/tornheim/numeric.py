@@ -31,9 +31,9 @@ unchanged, so every result is bit-identical to the direct evaluation.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, ceil, log10
+from math import comb, factorial, gcd, ceil, log10, perm
 
 import mpmath
 from mpmath import mp
@@ -42,6 +42,7 @@ from .arith import bernoulli_number
 from .constants import BaseConstant, SymbolicValue
 
 _MAX_CUTOFF = 50000
+_ABS_FLOOR = mp.mpf("1e-30")  # check_values and lattice_sum scale by |value| above it
 
 
 class PrecisionError(RuntimeError):
@@ -85,31 +86,25 @@ class NumericCheckRecord:
     tail_bound: str | None = None
 
     def as_json_dict(self) -> dict:
-        return {
-            "label": self.label, "lhs": self.lhs, "rhs": self.rhs,
-            "abs_residual": self.abs_residual,
-            "rel_residual": self.rel_residual,
-            "tolerance": self.tolerance, "digits": self.digits,
-            "passed": self.passed, "cutoff": self.cutoff,
-            "tail_bound": self.tail_bound,
-        }
+        return asdict(self)
 
 
 def check_values(lhs, rhs, precision: Precision = DEFAULT_PRECISION,
-                 label: str = "", cutoff: int | None = None) -> NumericCheckRecord:
-    """Compare two reals: relative residual, absolute below a 1e-6 floor."""
+                 label: str = "", cutoff: int | None = None,
+                 tail_bound: str | None = None) -> NumericCheckRecord:
+    """Compare two reals: residual relative wherever |rhs| >= 1e-30, else absolute."""
     with mp.workdps(precision.dps):
         lhs, rhs = mp.mpf(lhs), mp.mpf(rhs)
         diff = abs(lhs - rhs)
         scale = abs(rhs)
-        rel = diff / scale if scale >= mp.mpf("1e-6") else diff
+        rel = diff / scale if scale >= _ABS_FLOOR else diff
         passed = rel <= mp.mpf(precision.tolerance)
         return NumericCheckRecord(
             label=label, lhs=mp.nstr(lhs, precision.digits),
             rhs=mp.nstr(rhs, precision.digits),
             abs_residual=mp.nstr(diff, 5), rel_residual=mp.nstr(rel, 5),
             tolerance=precision.tolerance, digits=precision.digits,
-            passed=bool(passed), cutoff=cutoff)
+            passed=bool(passed), cutoff=cutoff, tail_bound=tail_bound)
 
 
 # ------------------------------------------------------------ constants
@@ -307,17 +302,12 @@ def _lattice_pass(merged, scale, dps, M, K, heads):
                 c[base + j - 1][1] += g * q ** (1 - j) / (j - 1)
                 c[base + j][1] += -g * q ** (-j) / 2
                 for rr in range(1, K + 1):
-                    rise = Fraction(1)
-                    for t in range(2 * rr - 1):
-                        rise *= j + t
+                    rise = perm(j + 2 * rr - 2, 2 * rr - 1)  # j (j+1) ... (j+2rr-2)
                     c[base + j - 1 + 2 * rr][1] += (g * b2(2 * rr) * rise
                                                     / factorial(2 * rr)
                                                     * q ** (1 - j - 2 * rr))
-                rise = Fraction(1)
-                for t in range(2 * K + 1):
-                    rise *= j + t
-                omit = abs(g * b2(2 * K + 2) / factorial(2 * K + 2) * rise
-                           * q ** (1 - j - 2 * K - 2))
+                omit = abs(g * b2(2 * K + 2) / factorial(2 * K + 2)
+                           * perm(j + 2 * K, 2 * K + 1) * q ** (1 - j - 2 * K - 2))
                 bound += (mp.mpf(omit.numerator) / omit.denominator
                           * _tail_zeta(base + j + 1 + 2 * K, 0, M, dps))
             else:
@@ -391,18 +381,17 @@ def lattice_sum(factors, precision: Precision = DEFAULT_PRECISION,
 
     if swap is None:
         swap = min_shift(False) > min_shift(True)
+    qmin = min_shift(not swap)  # min_shift reads merged, so before the swap
     if swap:
         merged = {(cn, cm): b for (cm, cn), b in merged.items()}
 
-    qmin = min((Fraction(cm, cn) for (cm, cn) in merged if cn > 0 and cm > 0),
-               default=Fraction(1))
     M = cutoff if cutoff is not None else max(40, int(24 / qmin) + 1)
     # zeta(j, 1+qm) and psi(1+qm) by (order j, exact 1+qm), for every pass
     heads: dict[tuple, object] = {}
     while True:
         value, bound = _lattice_pass(merged, scale, precision.dps, M, order,
                                      heads)
-        target = mp.mpf(precision.tolerance) * max(abs(value), mp.mpf("1e-30"))
+        target = mp.mpf(precision.tolerance) * max(abs(value), _ABS_FLOOR)
         if bound <= target:
             return value, bound, M
         if 2 * M > _MAX_CUTOFF:
@@ -420,8 +409,7 @@ def verify(values: dict[str, SymbolicValue], factors,
     failure means is left to the caller.
     """
     series, bound, cutoff = lattice_sum(factors, precision)
-    return {name: replace(check_values(eval_symbolic(v, precision), series,
-                                       precision, label=f"{name} vs series",
-                                       cutoff=cutoff),
-                          tail_bound=mp.nstr(bound, 5))
+    return {name: check_values(eval_symbolic(v, precision), series, precision,
+                               label=f"{name} vs series", cutoff=cutoff,
+                               tail_bound=mp.nstr(bound, 5))
             for name, v in values.items()}

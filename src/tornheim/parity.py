@@ -58,7 +58,8 @@ class EvalRequest:
         if min(self.a, self.b, self.k1, self.k2, self.k3) < 1:
             raise ValueError("all of a, b, k1, k2, k3 must be >= 1")
         if self.weight % 2 == 0:
-            raise ValueError("parity theorem applies to odd weight only")
+            raise ValueError(
+                "weight must be odd: the parity theorem covers odd weight only")
 
     @property
     def weight(self) -> int:
@@ -221,25 +222,19 @@ def term2_coeff(req: EvalRequest) -> list:
     bern[b] = [bernoulli_number(q, "at-one") / factorial(q)
                for q in range(top + 1)]
 
-    # with big_q = s + q and e = k2+k3-s, the term is (-1)^s 2^e pi^e /
-    # (a^s q!) times
+    # with big_q = s + q and e = k2+k3-s, the term is (-1)^s 2^e pi^e/(a^s q!) times
     #   -i S_{p+s+1}(ac/b) B_q(c/b)                   for odd p+s,
-    #   zeta(p+s+1) B_q(1) - C_{p+s+1}(ac/b) B_q(c/b)  for even p+s:
-    # sum the weights per zeta(p+s+1) and per (c, s), then scale once
-    zeta_w: dict[int, Fraction] = {}
+    #   zeta(p+s+1) B_q(1) - C_{p+s+1}(ac/b) B_q(c/b)  for even p+s,
+    # and zeta(p+s+1) = C_{p+s+1}(ab/b) is the Clausen block at c = b,
+    # added for even p+s only: sum the weights per (c, s), then scale once
     clausen_w: dict[tuple[int, int], Fraction] = {}
     for (c, big_q), w in lead.items():
         for s in range(1, big_q + 1):
             q = big_q - s
             if (p + s) % 2 == 0:
-                zeta_w[s] = zeta_w.get(s, 0) + w * bern[b][q]
+                clausen_w[(b, s)] = clausen_w.get((b, s), 0) + w * bern[b][q]
             clausen_w[(c, s)] = clausen_w.get((c, s), 0) - w * bern[c][q]
     parts = [{}, {}]
-    for s, w in zeta_w.items():
-        e = k2 + k3 - s
-        x = w * Fraction((-1) ** s * 2 ** e, a ** s)
-        _accumulate(parts, e, e, x,
-                    SymbolicValue.from_factors(1, [(zeta(p + s + 1), 1)]))
     for (c, s), w in clausen_w.items():
         e = k2 + k3 - s
         odd = (p + s) % 2

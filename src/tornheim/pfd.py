@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LinearForm:
     cm: int
     cn: int
@@ -32,10 +32,6 @@ class LinearForm:
             raise ValueError("form coefficients must be nonnegative, not both zero")
         if gcd(self.cm, self.cn) != 1:
             raise ValueError("forms are stored primitive; carry the gcd in the coefficient")
-
-    @property
-    def sort_key(self):
-        return (self.cm, self.cn)
 
     def __str__(self):
         parts = []
@@ -91,15 +87,13 @@ class TermProduct:
 
     @classmethod
     def make(cls, coeff, exponents) -> "TermProduct":
-        if isinstance(exponents, dict):
-            exponents = exponents.items()
         exps: dict[LinearForm, int] = {}
         for f, e in exponents:
             if e < 0:
                 raise ValueError("exponents must be nonnegative")
             if e:
                 exps[f] = exps.get(f, 0) + e
-        ordered = tuple(sorted(exps.items(), key=lambda p: p[0].sort_key))
+        ordered = tuple(sorted(exps.items()))
         return cls(Fraction(coeff), ordered)
 
     def exponent(self, form: LinearForm) -> int:
@@ -126,9 +120,7 @@ class TermSum:
         merged: dict[tuple, Fraction] = {}
         for t in terms:
             merged[t.exponents] = merged.get(t.exponents, Fraction(0)) + t.coeff
-        kept = tuple(TermProduct(c, ex) for ex, c in sorted(
-            merged.items(),
-            key=lambda kv: tuple((f.sort_key, e) for f, e in kv[0])) if c)
+        kept = tuple(TermProduct(c, ex) for ex, c in sorted(merged.items()) if c)
         return cls(kept)
 
     def __iter__(self):

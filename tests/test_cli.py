@@ -182,6 +182,36 @@ def test_g2_json_includes_trace_on_request():
     assert all(c["passed"] for c in rec["checks"].values())
 
 
+def test_g2_latex_prints_both_bases():
+    code, out, _ = run_cli("g2", "--k", "1", "1", "1", "1", "1", "2",
+                           "--format", "latex")
+    assert code == 0
+    assert out.splitlines() == [
+        r"\frac{2507}{1296}\zeta(7)+\frac{9\pi}{4}S_6(\tfrac{1}{3})"
+        r"-\frac{505\pi^2}{648}\zeta(5)",
+        r"\frac{2507}{1296}\zeta(7)-\frac{505}{108}\zeta(2)\zeta(5)"
+        r"+\frac{81}{8}L(1,\chi_3)L(6,\chi_3)",
+    ]
+
+
+CHECK_KEYS = {"label", "lhs", "rhs", "abs_residual", "rel_residual",
+              "tolerance", "digits", "passed", "cutoff", "tail_bound"}
+
+
+def test_check_record_json_keys():
+    code, out, _ = run_cli("eval", "--a", "1", "--b", "2", "--k", "1", "1", "3",
+                           "--verify", "--format", "json")
+    assert code == 0 and set(json.loads(out)["check"]) == CHECK_KEYS
+    code, out, _ = run_cli("g2", "--k", "2", "1", "1", "1", "1", "1",
+                           "--format", "json")
+    checks = json.loads(out)["checks"]
+    assert code == 0 and set(checks) == {"clausen", "dirichlet"}
+    assert all(set(c) == CHECK_KEYS for c in checks.values())
+    code, out, _ = run_cli("table", "--weight", "3", "--pairs", "1,1",
+                           "--format", "json")
+    assert code == 0 and set(json.loads(out)["check"]) == CHECK_KEYS
+
+
 def test_g2_even_weight_usage_error():
     code, _, err = run_cli("g2", "--k", "1", "1", "1", "1", "1", "1")
     assert code == 2
@@ -226,6 +256,26 @@ def test_table_weight_three():
     assert len(records) == 3 and all(r["passed"] for r in records)
     assert records[0]["request"] == {"a": 1, "b": 1, "k": [1, 1, 1]}
     assert records[0]["text"] == "2ζ(3)"
+
+
+def test_table_text_rows():
+    code, out, _ = run_cli("table", "--weight", "3", "--pairs", "1,1", "2,3")
+    assert code == 0
+    assert out.splitlines() == [
+        "ok  a=1 b=1 k=(1, 1, 1): 2ζ(3)",
+        "ok  a=2 b=3 k=(1, 1, 1): 37/72 ζ(3) + 1/6 πS_2(1/3)",
+    ]
+
+
+@pytest.mark.parametrize("oracle,code,row", [
+    (wrong_oracle, 3, "FAIL a=1 b=1 k=(1, 1, 1): 2ζ(3)"),
+    (broken_oracle, 1, "FAIL a=1 b=1 k=(1, 1, 1): broken oracle invariant"),
+])
+def test_table_text_failure_rows(monkeypatch, oracle, code, row):
+    monkeypatch.setattr(numeric, "lattice_sum", oracle)
+    got, out, _ = run_cli("table", "--weight", "3", "--pairs", "1,1")
+    assert got == code
+    assert out.splitlines() == [row]
 
 
 def test_table_reports_per_record_failure(monkeypatch):

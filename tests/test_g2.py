@@ -31,7 +31,7 @@ def test_request_validation():
         G2Request((1, 1, 1, 1, 1))
     with pytest.raises(ValueError):
         G2Request((1, 1, 1, 1, 1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weight must be odd"):
         G2Request((1, 1, 1, 1, 1, 1))       # even weight
     assert G2Request([2, 1, 1, 1, 1, 1]).weight == 7
 

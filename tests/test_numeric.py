@@ -35,9 +35,11 @@ def test_check_values_relative_and_absolute():
     rec = check_values(1.0, 1.0 + 1e-12, DEFAULT_PRECISION, label="x")
     assert rec.passed and rec.label == "x"
     assert not check_values(1.0, 1.0 + 1e-8).passed
-    # below the floor the comparison is absolute
-    assert check_values(1e-25, 3e-25).passed
+    # relative down to the 1e-30 floor, absolute below it
+    assert not check_values(1e-25, 3e-25).passed
     assert not check_values(1e-7, 2e-7).passed
+    rec = check_values(1e-31, 3e-31)
+    assert rec.passed and rec.rel_residual == rec.abs_residual == "2.0e-31"
 
 
 # ------------------------------------------------------------- constants

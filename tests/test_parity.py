@@ -129,7 +129,7 @@ def test_table_store_holds_one_table_per_shift(monkeypatch):
 # -------------------------------------------------------------- requests
 
 def test_request_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weight must be odd"):
         EvalRequest(1, 1, 1, 1, 2)      # even weight
     with pytest.raises(ValueError):
         EvalRequest(0, 1, 1, 1, 3)
