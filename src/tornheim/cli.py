@@ -18,7 +18,7 @@ import sys
 from . import __version__, constants, pfd
 from .constants import to_dirichlet_basis, to_json_dict, to_latex, to_text
 from .g2 import G2Request, VerificationError, evaluate_g2
-from .numeric import Precision, verify
+from .numeric import DEFAULT_PRECISION, Precision, verify
 from .parity import EvalRequest, closed_form
 
 
@@ -30,10 +30,10 @@ def ruleset_hash() -> str:
 
 def _add_numeric_flags(p: argparse.ArgumentParser,
                        formats=("text", "json", "latex")):
-    p.add_argument("--prec", type=int,
-                   help="working decimal digits (default 30 or $TORNHEIM_PREC)")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="relative verification tolerance (default 1e-10)")
+    p.add_argument("--prec", type=int, help="working decimal digits (default "
+                   f"{DEFAULT_PRECISION.digits} or $TORNHEIM_PREC)")
+    p.add_argument("--tol", type=float, default=DEFAULT_PRECISION.tolerance,
+                   help="relative verification tolerance (default %(default)s)")
     p.add_argument("--format", choices=formats, default="text")
 
 
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _precision(parser, args) -> Precision:
     digits = args.prec
     if digits is None:
-        env = os.environ.get("TORNHEIM_PREC", "30")
+        env = os.environ.get("TORNHEIM_PREC", str(DEFAULT_PRECISION.digits))
         try:
             digits = int(env)
         except ValueError:

@@ -434,14 +434,9 @@ def from_json_dict(d: dict) -> SymbolicValue:
         coeff = Fraction(int(t["num"]), int(t["den"]))
         factors = []
         for f in t["factors"]:
-            kind = f["kind"]
-            if kind in _NO_INDEX:
-                sym = BaseConstant(kind)
-            elif kind in ("C", "S"):
-                angle = Fraction(int(f["angle"][0]), int(f["angle"][1]))
-                sym = BaseConstant(kind, f["index"], angle)
-            else:
-                sym = BaseConstant(kind, f["index"])
+            num, den = f.get("angle", (0, 1))
+            sym = BaseConstant(f["kind"], f.get("index", 0),
+                               Fraction(int(num), int(den)))
             factors.append((sym, f["exp"]))
         terms.append((coeff, factors))
     return SymbolicValue.from_terms(terms)

@@ -6,7 +6,7 @@ at odd weight k = k1+k2+k3, as exact Q-linear combinations of zeta
 values and Clausen constants (pi-power times one of zeta(j), C_j(q),
 S_j(q) with q of denominator dividing lcm(a,b)).
 
-The value equals -(1/2) Re[G_{a,b}(k1,k2,k3) + G_{b,a}(k2,k1,k3)] where
+The value equals -(1/2) [G_{a,b}(k1,k2,k3) + G_{b,a}(k2,k1,k3)] where
 G_{a,b} is the coefficient of t1^k1 t2^k2 t3^k3 in a generating function
 built from Bernoulli series and Hurwitz-type sums.  That coefficient is
 a finite sum assembled here exactly: term1 pairs a depth-one zeta series
@@ -25,14 +25,11 @@ finite Cauchy double sums over Bernoulli numbers, one per coefficient.
 The process keeps one table per (b, c) and adds entries as larger
 truncations are asked for.
 
-Every constant multiplied here is real, so a power i^k of the imaginary
-unit only picks the part a term joins and its sign: each block is kept
-as a pair [Re, Im] of real values.  A block first sums its rational
-weights per constant, then adds i^k x pi^e * constant into two plain
-dicts keyed by (pi-power, constant monomial), one for Re and one for
-Im, and turns each into a SymbolicValue once at the end.  At odd weight
-the imaginary parts of the two G's cancel exactly; closed_form checks
-that before it returns.
+Each block is real by construction.  With k = k1+k2+k3 odd, term1
+writes i^e zeta(k1+s) with e = k-(k1+s), nonzero only for odd k1+s, so e
+is even; term2 writes i^(e+odd) with odd = (k1-1+s) mod 2, and e+odd is
+even for its C, zeta and S terms alike.  _real_terms checks that power
+where each term is written and raises on a nonzero term with odd power.
 """
 from __future__ import annotations
 
@@ -83,8 +80,7 @@ def _coeff_table(front: list, b: int, rows: int, cols: int,
     f_p1 B_p2(0)/p2! (-1)^s b^(r-p1) / ((r-p1)! (s-p2)! (r-p1+s-p2+1)).
     Entries already in `table` are kept and only the missing ones added."""
     table = {} if table is None else table
-    bern = [bernoulli_number(p, "at-zero") / factorial(p)
-            for p in range(cols + 1)]
+    bern = _front(0, cols)
 
     # the sum over p2 depends on q1 = r - p1 and s only
     @cache
@@ -155,25 +151,17 @@ def zeta_integral_coeff(a: int, b: int, r: int, s: int) -> SymbolicValue:
     return SymbolicValue.from_factors(coeff, [(zeta(r + s), 1)])
 
 
-def _accumulate(parts: list, k: int, e: int, x: Fraction,
-                cst: SymbolicValue) -> None:
-    """parts[0] + i parts[1] += i^k x pi^e cst, for a real constant cst;
-    each part maps (pi-power, constant monomial) to a coefficient."""
-    acc = parts[k % 2]
-    if k % 4 >= 2:
-        x = -x
-    for mono, coeff in cst.terms():
-        acc[(e, mono)] = acc.get((e, mono), 0) + x * coeff
+def _real_terms(k: int, e: int, x: Fraction, cst: SymbolicValue) -> list:
+    """i^k x pi^e cst, for a real constant cst, as (coeff, factors) pairs;
+    raises on a nonzero term with odd k, which would leave the block complex."""
+    if k % 2 and x and not cst.is_zero:
+        raise RuntimeError(f"odd power i^{k} on a nonzero term: {x} pi^{e} {cst}")
+    sign = -1 if k % 4 >= 2 else 1
+    return [(sign * x * coeff, [*mono, (PI, e)]) for mono, coeff in cst.terms()]
 
 
-def _value(acc: dict) -> SymbolicValue:
-    """The sum of coeff pi^e mono over acc {(e, mono): coeff}."""
-    return SymbolicValue.from_terms((coeff, [*mono, (PI, e)])
-                                    for (e, mono), coeff in acc.items())
-
-
-def term1_coeff(req: EvalRequest) -> list:
-    """[Re, Im] of the coefficient block pairing A_b(n2,n3) with the
+def term1_coeff(req: EvalRequest) -> SymbolicValue:
+    """The coefficient block pairing A_b(n2,n3) with the
     depth-one zeta series; monomials are (2 pi i)^(n2+n3) rational zeta(k1+s)."""
     a, b, k1, k2, k3 = req.a, req.b, req.k1, req.k2, req.k3
     series = alpha_coeffs(b, k2, k3)
@@ -186,15 +174,15 @@ def term1_coeff(req: EvalRequest) -> list:
             if ab and s >= 1:
                 j = k2 - n2
                 weights[s] = weights.get(s, 0) + ab * (comb(s, j) * (-b) ** j)
-    parts = [{}, {}]
+    terms = []
     for s, w in weights.items():
         e = k2 + k3 - s
-        _accumulate(parts, e, e, w * 2 ** e, zeta_integral_coeff(a, 1, k1, s))
-    return [_value(parts[0]), _value(parts[1])]
+        terms += _real_terms(e, e, w * 2 ** e, zeta_integral_coeff(a, 1, k1, s))
+    return SymbolicValue.from_terms(terms)
 
 
-def term2_coeff(req: EvalRequest) -> list:
-    """[Re, Im] of the shift-correction block: Clausen values at angles
+def term2_coeff(req: EvalRequest) -> SymbolicValue:
+    """The shift-correction block: Clausen values at angles
     a*c/b weighted by Bernoulli polynomial values B_q(c/b); zero when b = 1."""
     a, b, k1, k2, k3 = req.a, req.b, req.k1, req.k2, req.k3
     p = k1 - 1
@@ -234,35 +222,30 @@ def term2_coeff(req: EvalRequest) -> list:
             if (p + s) % 2 == 0:
                 clausen_w[(b, s)] = clausen_w.get((b, s), 0) + w * bern[b][q]
             clausen_w[(c, s)] = clausen_w.get((c, s), 0) - w * bern[c][q]
-    parts = [{}, {}]
+    terms = []
     for (c, s), w in clausen_w.items():
         e = k2 + k3 - s
         odd = (p + s) % 2
         x = w * Fraction((-1) ** s * 2 ** e, a ** s)
-        _accumulate(parts, e + odd, e, x,
-                    reduce_angle("S" if odd else "C", p + s + 1,
-                                 Fraction(a * c, b)))
-    return [_value(parts[0]), _value(parts[1])]
+        terms += _real_terms(e + odd, e, x,
+                             reduce_angle("S" if odd else "C", p + s + 1,
+                                          Fraction(a * c, b)))
+    return SymbolicValue.from_terms(terms)
 
 
-def g_coefficient(req: EvalRequest) -> tuple[SymbolicValue, SymbolicValue]:
-    """(Re, Im) of the full coefficient G_{a,b}(k1,k2,k3).
+def g_coefficient(req: EvalRequest) -> SymbolicValue:
+    """The full coefficient G_{a,b}(k1,k2,k3), real at odd weight.
 
     The generating function has a third block depending on (t1,t2) and
     (t1,t3) only; its coefficient at t2^k2 t3^k3 with k2,k3 >= 1 is zero,
     so term1 + term2 is the whole coefficient.
     """
-    (re1, im1), (re2, im2) = term1_coeff(req), term2_coeff(req)
-    return re1 + re2, im1 + im2
+    return term1_coeff(req) + term2_coeff(req)
 
 
 def closed_form(req: EvalRequest) -> SymbolicValue:
-    """zeta_{a,b}(k1,k2,k3) = -(1/2) Re[G_{a,b}(k1,k2,k3)+G_{b,a}(k2,k1,k3)];
-    raises unless the imaginary parts cancel exactly."""
-    (re1, im1), (re2, im2) = g_coefficient(req), g_coefficient(req.swapped)
-    if not (im1 + im2).is_zero:
-        raise RuntimeError(f"imaginary part does not cancel for {req}")
-    value = (re1 + re2) * Fraction(-1, 2)
+    """zeta_{a,b}(k1,k2,k3) = -(1/2) [G_{a,b}(k1,k2,k3)+G_{b,a}(k2,k1,k3)]."""
+    value = (g_coefficient(req) + g_coefficient(req.swapped)) * Fraction(-1, 2)
     if any(mono_weight(mono) != req.weight for mono, _ in value.terms()):
         raise RuntimeError(f"weight homogeneity broken for {req}")
     return value

@@ -173,17 +173,29 @@ def test_series_parameter_symmetry():
 
 
 def test_no_shift_block_when_b_is_one():
-    re, im = term2_coeff(EvalRequest(3, 1, 1, 1, 3))
-    assert re.is_zero and im.is_zero
+    assert term2_coeff(EvalRequest(3, 1, 1, 1, 3)).is_zero
 
 
-def test_imaginary_part_cancels_syntactically():
+def test_every_block_term_has_an_even_power_of_i(monkeypatch):
+    # record each power of i the two blocks write, with its term
+    written = []
+    real_terms = parity._real_terms
+
+    def recording(k, e, x, cst):
+        written.append((k, x, cst))
+        return real_terms(k, e, x, cst)
+
+    monkeypatch.setattr(parity, "_real_terms", recording)
     for (a, b, k1, k2, k3) in [(1, 1, 1, 1, 3), (1, 2, 1, 1, 3),
                                (2, 3, 1, 2, 2), (2, 5, 3, 1, 3),
                                (3, 4, 1, 1, 5)]:
         req = EvalRequest(a, b, k1, k2, k3)
-        (_, im1), (_, im2) = g_coefficient(req), g_coefficient(req.swapped)
-        assert (im1 + im2).is_zero
+        g_coefficient(req), g_coefficient(req.swapped)
+    nonzero = [(k, cst) for k, x, cst in written if x and not cst.is_zero]
+    assert all(k % 2 == 0 for k, _ in nonzero)
+    # the S terms are the ones written at i^(e+1): some must occur
+    assert any(sym.kind == "S" for _, cst in nonzero
+               for mono, _ in cst.terms() for sym, _ in mono)
 
 
 @pytest.mark.parametrize("a,b,k1,k2,k3", [
@@ -239,6 +251,16 @@ def test_closed_form_structure():
             assert 0 <= n <= (k - 3) // 2
 
 
+def _run_optimized(script):
+    """stdout of script run under python -O, where asserts are stripped."""
+    src = os.path.dirname(os.path.dirname(tornheim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_weight_homogeneity_check_survives_optimize():
     # the check must raise even where asserts are stripped
     script = ("import tornheim.parity as p\n"
@@ -247,33 +269,26 @@ def test_weight_homogeneity_check_survives_optimize():
               "    p.closed_form(p.EvalRequest(1, 1, 1, 1, 3))\n"
               "except RuntimeError as exc:\n"
               "    print(exc)\n")
-    src = os.path.dirname(os.path.dirname(tornheim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "weight homogeneity broken" in proc.stdout
+    assert "weight homogeneity broken" in _run_optimized(script)
 
 
-def test_imaginary_cancellation_check_survives_optimize():
-    # a term2 block with a stray imaginary part must make closed_form
-    # raise, also where asserts are stripped
-    script = ("import tornheim.parity as p\n"
-              "term2 = p.term2_coeff\n"
-              "def stray(req):\n"
-              "    re, im = term2(req)\n"
-              "    return [re, im + p.SymbolicValue.from_factors(1, [])]\n"
-              "p.term2_coeff = stray\n"
+def test_odd_power_of_i_check_survives_optimize():
+    # without its zero branch for even r+s, zeta_integral_coeff hands
+    # term1 a nonzero zeta at an odd power of i: closed_form must raise,
+    # also where asserts are stripped
+    script = ("from fractions import Fraction\n"
+              "from math import gcd\n"
+              "import tornheim.parity as p\n"
+              "def unguarded(a, b, r, s):\n"
+              "    coeff = Fraction(gcd(a, b) ** (r + s), a ** s * b ** r)\n"
+              "    return p.SymbolicValue.from_factors(\n"
+              "        coeff, [(p.zeta(r + s), 1)])\n"
+              "p.zeta_integral_coeff = unguarded\n"
               "try:\n"
               "    p.closed_form(p.EvalRequest(1, 2, 1, 1, 3))\n"
               "except RuntimeError as exc:\n"
               "    print(exc)\n")
-    src = os.path.dirname(os.path.dirname(tornheim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "imaginary part does not cancel" in proc.stdout
+    assert "odd power i^" in _run_optimized(script)
 
 
 def test_closed_form_insensitive_to_constant_block_convention(monkeypatch):
