@@ -10,22 +10,19 @@ Exit codes: 0 verified/ok, 1 internal error, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 
-from . import __version__, constants, pfd
+from . import __version__, pfd
 from .constants import to_dirichlet_basis, to_json_dict, to_latex, to_text
 from .g2 import G2Request, VerificationError, evaluate_g2
 from .numeric import DEFAULT_PRECISION, Precision, verify
 from .parity import EvalRequest, closed_form
 
 
-def ruleset_hash() -> str:
-    digest = hashlib.sha256(
-        (constants.RULES_DOC + "\n" + pfd.RELATIONS_DOC).encode())
-    return digest.hexdigest()[:16]
+# sha256(RULES_DOC + "\n" + RELATIONS_DOC)[:16], recomputed by a test.
+RULESET_HASH = "0e0e00c3aa654294"
 
 
 def _add_numeric_flags(p: argparse.ArgumentParser,
@@ -92,7 +89,7 @@ def _precision(parser, args) -> Precision:
 
 def _record_head(command: str) -> dict:
     return {"command": command, "version": __version__,
-            "ruleset_hash": ruleset_hash()}
+            "ruleset_hash": RULESET_HASH}
 
 
 def _emit(record: dict):

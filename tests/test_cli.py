@@ -1,4 +1,5 @@
 """Command line contract: output formats, exit codes, JSON schema."""
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import tornheim
 from tornheim import __version__
-from tornheim import cli, numeric
+from tornheim import cli, constants, numeric, pfd
 from tornheim.constants import from_json_dict
 from tornheim.parity import EvalRequest, closed_form
 
@@ -80,7 +81,7 @@ def test_eval_json_schema_and_round_trip():
     assert set(rec) == {"command", "version", "ruleset_hash", "request",
                         "basis", "result", "text", "latex", "check"}
     assert rec["command"] == "eval" and rec["version"] == __version__
-    assert rec["ruleset_hash"] == cli.ruleset_hash()
+    assert rec["ruleset_hash"] == cli.RULESET_HASH
     assert rec["request"] == {"a": 1, "b": 3, "k": [1, 1, 3]}
     assert rec["check"]["passed"] is True
     value = from_json_dict(rec["result"])
@@ -88,9 +89,11 @@ def test_eval_json_schema_and_round_trip():
 
 
 def test_ruleset_hash_is_stable():
-    h1, h2 = cli.ruleset_hash(), cli.ruleset_hash()
-    assert h1 == h2 and len(h1) == 16
-    int(h1, 16)     # hex digest prefix
+    want = hashlib.sha256((constants.RULES_DOC + "\n" + pfd.RELATIONS_DOC)
+                          .encode()).hexdigest()[:16]
+    assert cli.RULESET_HASH == want, \
+        "RULES_DOC or RELATIONS_DOC changed: update cli.RULESET_HASH to " + want
+    assert cli.RULESET_HASH == "0e0e00c3aa654294"
 
 
 def wrong_oracle(*args, **kwargs):
@@ -318,16 +321,33 @@ def test_precision_floor_follows_the_tolerance(digits, code):
     assert ("need >= 20" in err) == (code == 2)
 
 
-def test_console_entry_point():
-    # the child imports the same package as this process, installed or not
+def run_child(*argv):
+    """A fresh interpreter that imports the same package as this process,
+    installed or not."""
     src = str(Path(tornheim.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "tornheim.cli", "--version"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point():
+    proc = run_child("-m", "tornheim.cli", "--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__
+
+
+def test_verified_json_request_loads_no_hashlib():
+    # the ruleset hash is a constant, so no request pulls in OpenSSL
+    script = (
+        "import sys\n"
+        "from tornheim.cli import main\n"
+        "code = main(['eval', '--a', '1', '--b', '2', '--k', '1', '1', '3',\n"
+        "             '--verify', '--format', 'json'])\n"
+        "print(code, sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
+    proc = run_child("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_missing_subcommand_is_usage_error():

@@ -113,8 +113,9 @@ def test_classical_anchor_weight_three():
 
 def test_classical_anchor_weight_six():
     # sum 1/(m^2 n^2 (m+n)^2) = pi^6 / 2835
-    v = lattice_sum([(1, 0, 2), (0, 1, 2), (1, 1, 2)], PREC)[0]
-    with mp.workdps(PREC.dps):
+    prec = Precision(digits=40, tolerance=1e-30)    # the accuracy asserted
+    v = lattice_sum([(1, 0, 2), (0, 1, 2), (1, 1, 2)], prec)[0]
+    with mp.workdps(prec.dps):
         assert abs(v - mp.pi ** 6 / 2835) <= mp.mpf("1e-30")
 
 

@@ -20,7 +20,6 @@ from tornheim.parity import (EvalRequest, alpha_coeffs, alpha_tilde_coeffs,
                              zeta_integral_coeff)
 
 F = Fraction
-PREC = Precision(digits=30, tolerance=1e-12)
 
 
 def sv(coeff, *factors):
@@ -205,9 +204,10 @@ def test_every_block_term_has_an_even_power_of_i(monkeypatch):
 def test_closed_form_matches_series(a, b, k1, k2, k3):
     req = EvalRequest(a, b, k1, k2, k3)
     value = closed_form(req)
-    lhs = eval_symbolic(value, PREC)
-    rhs = lattice_sum(req.factors, PREC)[0]
-    with mp.workdps(PREC.dps):
+    prec = Precision(digits=35, tolerance=1e-25)    # the accuracy asserted
+    lhs = eval_symbolic(value, prec)
+    rhs = lattice_sum(req.factors, prec)[0]
+    with mp.workdps(prec.dps):
         assert abs(lhs - rhs) <= mp.mpf("1e-25") * abs(rhs)
 
 
