@@ -15,7 +15,8 @@ import os
 import sys
 
 from . import __version__, pfd
-from .constants import to_dirichlet_basis, to_json_dict, to_latex, to_text
+from .constants import (g2_field_error, to_dirichlet_basis, to_json_dict,
+                        to_latex, to_text)
 from .g2 import G2Request, VerificationError, evaluate_g2
 from .numeric import DEFAULT_PRECISION, Precision, verify
 from .parity import EvalRequest, closed_form
@@ -104,6 +105,9 @@ def cmd_eval(parser, args) -> int:
     prec = _precision(parser, args)
     value = closed_form(req)
     if args.basis == "dirichlet":
+        outside = g2_field_error(value)
+        if outside:
+            parser.error(outside)
         value = to_dirichlet_basis(value, req.weight)
     check = None
     if args.verify:

@@ -13,7 +13,7 @@ syntactic.  sqrt(3)^2 folds into the coefficient as 3.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 import json
@@ -35,32 +35,29 @@ RULES_DOC = (
 )
 
 
-@dataclass(frozen=True)
-class BaseConstant:
-    kind: str
-    index: int = 0
-    angle: Fraction = Fraction(0)
+class BaseConstant(namedtuple("BaseConstant", "kind index angle")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind in _NO_INDEX:
-            if self.index != 0 or self.angle != 0:
-                raise ValueError(f"{self.kind} takes no index/angle")
-        elif self.kind == "zeta":
-            if self.index < 2 or self.angle != 0:
+    def __new__(cls, kind: str, index: int = 0, angle: Fraction = Fraction(0)):
+        if kind in _NO_INDEX:
+            if index != 0 or angle != 0:
+                raise ValueError(f"{kind} takes no index/angle")
+        elif kind == "zeta":
+            if index < 2 or angle != 0:
                 raise ValueError("zeta index must be >= 2")
-        elif self.kind == "L3":
-            if self.index < 1 or self.angle != 0:
+        elif kind == "L3":
+            if index < 1 or angle != 0:
                 raise ValueError("L(j,chi3) index must be >= 1")
-        elif self.kind in ("C", "S"):
-            if self.index < 2:
+        elif kind in ("C", "S"):
+            if index < 2:
                 raise ValueError("Clausen index must be >= 2")
-            q = self.angle
-            if not (0 < q < Fraction(1, 2)):
-                raise ValueError(f"Clausen angle {q} not canonical")
-            if q in (Fraction(1, 6),) or (self.kind == "C" and q == Fraction(1, 3)):
-                raise ValueError(f"angle {q} is reducible; use reduce_angle")
+            if not (0 < angle < Fraction(1, 2)):
+                raise ValueError(f"Clausen angle {angle} not canonical")
+            if angle == Fraction(1, 6) or (kind == "C" and angle == Fraction(1, 3)):
+                raise ValueError(f"angle {angle} is reducible; use reduce_angle")
         else:
-            raise ValueError(f"unknown constant kind {self.kind!r}")
+            raise ValueError(f"unknown constant kind {kind!r}")
+        return super().__new__(cls, kind, index, angle)
 
     @property
     def sort_key(self):
@@ -273,25 +270,32 @@ def _pi_even_to_zeta(e: int) -> Fraction:
     return 1 / z_coeff
 
 
+def g2_field_error(v: SymbolicValue) -> str | None:
+    """Why v lies outside the G2 constant field {pi, sqrt3, zeta, S_j(1/3)}:
+    it holds a C_j, or an S_j at an angle other than 1/3.  None if inside."""
+    for mono, _ in v.terms():
+        for sym, _ in mono:
+            if sym.kind == "C" or (sym.kind == "S" and sym.angle != Fraction(1, 3)):
+                return f"not in G2 constant field: {_sym_text(sym, 1)}"
+    return None
+
+
 def to_dirichlet_basis(v: SymbolicValue, k: int) -> SymbolicValue:
     """Rewrite an odd-weight value over {pi, sqrt3, zeta, S_j(1/3)} into
     products zeta(a)zeta(b) / L(a,chi3)L(b,chi3) (bare zeta(k) kept)."""
     if k % 2 == 0:
         raise ValueError("weight must be odd")
+    outside = g2_field_error(v)
+    if outside:
+        raise ValueError(outside)
     staged = []
     for mono, coeff in v.terms():
         factors = []
         for sym, e in mono:
             if sym.kind == "S":
-                if sym.angle != Fraction(1, 3):
-                    raise ValueError(
-                        f"not in G2 constant field: S_{sym.index}({sym.angle})")
                 # S_j(1/3) = (sqrt3/2) L(j,chi3)
                 coeff /= 2 ** e
                 factors += [(SQRT3, e), (dirichlet_l3(sym.index), e)]
-            elif sym.kind == "C":
-                raise ValueError(
-                    f"not in G2 constant field: C_{sym.index}({sym.angle})")
             else:
                 factors.append((sym, e))
         staged.append((coeff, factors))

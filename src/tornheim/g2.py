@@ -20,7 +20,7 @@ VerificationError instead of being emitted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from . import pfd
@@ -34,17 +34,17 @@ class VerificationError(RuntimeError):
     """A symbolic result failed its mandatory numeric check."""
 
 
-@dataclass(frozen=True)
-class G2Request:
-    ks: tuple[int, int, int, int, int, int]
+class G2Request(namedtuple("G2Request", "ks")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "ks", tuple(self.ks))
-        if len(self.ks) != 6 or min(self.ks) < 1:
+    def __new__(cls, ks: tuple[int, int, int, int, int, int]):
+        ks = tuple(ks)
+        if len(ks) != 6 or min(ks) < 1:
             raise ValueError("need six exponents >= 1")
-        if self.weight % 2 == 0:
+        if sum(ks) % 2 == 0:
             raise ValueError(
                 "weight must be odd: the parity theorem covers odd weight only")
+        return super().__new__(cls, ks)
 
     @property
     def weight(self) -> int:
@@ -56,15 +56,16 @@ class G2Request:
         return [(f.cm, f.cn, k) for f, k in zip(pfd.G2_FORMS, self.ks)]
 
 
-@dataclass
-class G2ClosedForm:
-    request: G2Request
-    clausen: SymbolicValue
-    dirichlet: SymbolicValue
-    reduction: pfd.TermSum
-    checks: dict[str, NumericCheckRecord]
-    precision: Precision
-    trace: list = field(default_factory=list)
+class G2ClosedForm(namedtuple("G2ClosedForm", "request clausen dirichlet "
+                              "reduction checks precision trace")):
+    __slots__ = ()
+
+    def __new__(cls, request: G2Request, clausen: SymbolicValue,
+                dirichlet: SymbolicValue, reduction: pfd.TermSum,
+                checks: dict[str, NumericCheckRecord], precision: Precision,
+                trace: list | None = None):
+        return super().__new__(cls, request, clausen, dirichlet, reduction,
+                               checks, precision, [] if trace is None else trace)
 
     def reduction_list(self) -> list[tuple[Fraction, int, int, int, int, int]]:
         """[(coeff, a, b, e1, e2, e3)] with the term coeff * zeta_{a,b}(e)."""

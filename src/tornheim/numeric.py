@@ -30,8 +30,7 @@ unchanged, so every result is bit-identical to the direct evaluation.
 """
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import asdict, dataclass
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from math import comb, factorial, gcd, ceil, log10, perm
 
@@ -49,19 +48,18 @@ class PrecisionError(RuntimeError):
     """Requested tolerance not reachable within the evaluation budget."""
 
 
-@dataclass(frozen=True)
-class Precision:
-    digits: int = 30
-    tolerance: float = 1e-10
+class Precision(namedtuple("Precision", "digits tolerance")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 < self.tolerance < 1):
+    def __new__(cls, digits: int = 30, tolerance: float = 1e-10):
+        if not (0 < tolerance < 1):
             raise ValueError("tolerance must be in (0,1)")
-        need = ceil(-log10(self.tolerance)) + 10
-        if self.digits < need:
+        need = ceil(-log10(tolerance)) + 10
+        if digits < need:
             raise ValueError(
-                f"{self.digits} digits leaves no guard digits for "
-                f"tolerance {self.tolerance}; need >= {need}")
+                f"{digits} digits leaves no guard digits for "
+                f"tolerance {tolerance}; need >= {need}")
+        return super().__new__(cls, digits, tolerance)
 
     @property
     def dps(self) -> int:
@@ -72,21 +70,13 @@ class Precision:
 DEFAULT_PRECISION = Precision()
 
 
-@dataclass
-class NumericCheckRecord:
-    label: str
-    lhs: str
-    rhs: str
-    abs_residual: str
-    rel_residual: str
-    tolerance: float
-    digits: int
-    passed: bool
-    cutoff: int | None = None
-    tail_bound: str | None = None
+class NumericCheckRecord(namedtuple(
+        "NumericCheckRecord", "label lhs rhs abs_residual rel_residual "
+        "tolerance digits passed cutoff tail_bound", defaults=(None, None))):
+    __slots__ = ()
 
     def as_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def check_values(lhs, rhs, precision: Precision = DEFAULT_PRECISION,

@@ -33,7 +33,7 @@ where each term is written and raises on a nonzero term with odd power.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd
@@ -43,20 +43,16 @@ from .arith import bernoulli_number, bernoulli_polys
 from .constants import PI, SymbolicValue, mono_weight, reduce_angle, zeta
 
 
-@dataclass(frozen=True)
-class EvalRequest:
-    a: int
-    b: int
-    k1: int
-    k2: int
-    k3: int
+class EvalRequest(namedtuple("EvalRequest", "a b k1 k2 k3")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.a, self.b, self.k1, self.k2, self.k3) < 1:
+    def __new__(cls, a: int, b: int, k1: int, k2: int, k3: int):
+        if min(a, b, k1, k2, k3) < 1:
             raise ValueError("all of a, b, k1, k2, k3 must be >= 1")
-        if self.weight % 2 == 0:
+        if (k1 + k2 + k3) % 2 == 0:
             raise ValueError(
                 "weight must be odd: the parity theorem covers odd weight only")
+        return super().__new__(cls, a, b, k1, k2, k3)
 
     @property
     def weight(self) -> int:

@@ -17,21 +17,20 @@ zeta_{a,b}(e1,e2,e3), merging equal terms before each level of splits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd
 
 
-@dataclass(frozen=True, order=True)
-class LinearForm:
-    cm: int
-    cn: int
+class LinearForm(namedtuple("LinearForm", "cm cn")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.cm < 0 or self.cn < 0 or (self.cm, self.cn) == (0, 0):
+    def __new__(cls, cm: int, cn: int):
+        if cm < 0 or cn < 0 or (cm, cn) == (0, 0):
             raise ValueError("form coefficients must be nonnegative, not both zero")
-        if gcd(self.cm, self.cn) != 1:
+        if gcd(cm, cn) != 1:
             raise ValueError("forms are stored primitive; carry the gcd in the coefficient")
+        return super().__new__(cls, cm, cn)
 
     def __str__(self):
         parts = []
@@ -49,13 +48,9 @@ G2_TARGETS = (LinearForm(1, 1), LinearForm(1, 2), LinearForm(1, 3),
 G2_FORMS = (FORM_M, FORM_N) + G2_TARGETS
 
 
-@dataclass(frozen=True)
-class Relation:
-    """alpha*u + beta*w = c*v for an ordered pair (u,w); c > 0 is derived
-    from the coefficients and checked exactly at use time."""
-    alpha: Fraction
-    beta: Fraction
-    v: LinearForm
+# alpha*u + beta*w = c*v for an ordered pair (u,w); c > 0 is derived
+# from the coefficients and checked exactly at use time
+Relation = namedtuple("Relation", "alpha beta v")
 
 
 def relation_scale(u: LinearForm, w: LinearForm, rel: Relation) -> Fraction:
@@ -80,10 +75,8 @@ RELATIONS_DOC = ("g2-relations/2: for the two smallest non-basis forms u, w "
                  "of a term, +-((w.cn)u - (u.cn)w) = c m with c > 0")
 
 
-@dataclass(frozen=True)
-class TermProduct:
-    coeff: Fraction
-    exponents: tuple[tuple[LinearForm, int], ...]
+class TermProduct(namedtuple("TermProduct", "coeff exponents")):
+    __slots__ = ()
 
     @classmethod
     def make(cls, coeff, exponents) -> "TermProduct":
@@ -111,9 +104,19 @@ class TermProduct:
         return sum(e for _, e in self.exponents)
 
 
-@dataclass(frozen=True)
-class TermSum:
-    terms: tuple[TermProduct, ...]
+class TermSum(tuple):
+    """A sum of TermProducts, held as the tuple of its terms."""
+    __slots__ = ()
+
+    def __new__(cls, terms):
+        return super().__new__(cls, terms)
+
+    def __repr__(self):
+        return f"TermSum(terms={self.terms!r})"
+
+    @property
+    def terms(self) -> tuple[TermProduct, ...]:
+        return tuple(self)
 
     @classmethod
     def make(cls, terms) -> "TermSum":
@@ -122,9 +125,6 @@ class TermSum:
             merged[t.exponents] = merged.get(t.exponents, Fraction(0)) + t.coeff
         kept = tuple(TermProduct(c, ex) for ex, c in sorted(merged.items()) if c)
         return cls(kept)
-
-    def __iter__(self):
-        return iter(self.terms)
 
 
 def split_pair(t: TermProduct, u: LinearForm, w: LinearForm,
@@ -194,13 +194,7 @@ def verify_step(before: TermSum, after: TermSum) -> bool:
     return numerator(before) == numerator(after)
 
 
-@dataclass(frozen=True)
-class RewriteStep:
-    term: TermProduct
-    u: LinearForm
-    w: LinearForm
-    relation: Relation
-    produced: TermSum
+RewriteStep = namedtuple("RewriteStep", "term u w relation produced")
 
 
 def _term_json(t: TermProduct) -> dict:

@@ -47,6 +47,14 @@ def test_even_weight_is_usage_error():
     assert "weight must be odd" in err
 
 
+def test_dirichlet_basis_outside_g2_field_is_usage_error():
+    # (1,4) needs C_5(1/4), which has no Dirichlet L-product form
+    code, out, err = run_cli("eval", "--a", "1", "--b", "4", "--k", "1", "1", "3",
+                             "--basis", "dirichlet")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "tornheim: error: not in G2 constant field: C_5(1/4)"
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "--a", "0", "--b", "1", "--k", "1", "1", "3"),
     ("eval", "--a", "1", "--b", "1", "--k", "0", "1", "4"),
@@ -337,17 +345,24 @@ def test_console_entry_point():
     assert proc.stdout.strip() == __version__
 
 
-def test_verified_json_request_loads_no_hashlib():
-    # the ruleset hash is a constant, so no request pulls in OpenSSL
+def test_json_requests_load_no_hashlib_or_dataclasses():
+    # the ruleset hash is a constant, so no request pulls in OpenSSL; the
+    # value types are named tuples, so none pulls in dataclasses and the
+    # inspect, ast, dis and tokenize modules that it loads
     script = (
         "import sys\n"
         "from tornheim.cli import main\n"
-        "code = main(['eval', '--a', '1', '--b', '2', '--k', '1', '1', '3',\n"
-        "             '--verify', '--format', 'json'])\n"
-        "print(code, sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
+        "codes = [main(['eval', '--a', '1', '--b', '2', '--k', '1', '1', '3',\n"
+        "               '--verify', '--format', 'json']),\n"
+        "         main(['g2', '--k', '1', '1', '1', '1', '1', '2',\n"
+        "               '--format', 'json']),\n"
+        "         main(['table', '--weight', '5', '--pairs', '1,1',\n"
+        "               '--format', 'json'])]\n"
+        "print(codes, sorted({'hashlib', '_hashlib', 'dataclasses', 'inspect',\n"
+        "                     'ast', 'dis', 'tokenize'} & set(sys.modules)))\n")
     proc = run_child("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 def test_missing_subcommand_is_usage_error():

@@ -14,8 +14,9 @@ from mpmath import mp
 from tornheim.constants import (BaseConstant, PI, SQRT3, SymbolicValue,
                                 clausen_c, clausen_s, dirichlet_l3,
                                 exact_L_rational, exact_L_value, from_json,
-                                mono_weight, reduce_angle, to_dirichlet_basis,
-                                to_json, to_latex, to_text, zeta)
+                                g2_field_error, mono_weight, reduce_angle,
+                                to_dirichlet_basis, to_json, to_latex,
+                                to_text, zeta)
 from tornheim.numeric import DEFAULT_PRECISION, eval_constant, eval_symbolic
 
 F = Fraction
@@ -190,6 +191,15 @@ def test_dirichlet_basis_rejections():
         to_dirichlet_basis(sv(1, (zeta(5), 1)), 4)     # even weight
     with pytest.raises(ValueError):
         to_dirichlet_basis(sv(1, (zeta(5), 1)), 7)     # weight mismatch
+
+
+def test_g2_field_error_names_the_first_constant_outside():
+    assert g2_field_error(sv(1, (PI, 1), (clausen_s(4, F(1, 3)), 1))) is None
+    assert g2_field_error(sv(1, (clausen_s(3, F(1, 4)), 1), (PI, 2))) \
+        == "not in G2 constant field: S_3(1/4)"
+    v = (sv(1, (clausen_c(5, F(1, 5)), 1))
+         + sv(1, (clausen_s(3, F(1, 4)), 1), (PI, 2)))
+    assert g2_field_error(v) == "not in G2 constant field: C_5(1/5)"
 
 
 def test_mono_weight():
