@@ -4,29 +4,27 @@ which every symbolic identity is checked.
 Lattice sums sum_{m,n>=1} prod_f (cm_f*m + cn_f*n)^(-beta_f) are
 evaluated by summing the inner variable exactly: partial fractions turn
 each inner sum into Hurwitz zeta and digamma values with exact rational
-coefficients.  The outer variable is summed to a cutoff M and the tail
-is summed in closed form from the Euler-Maclaurin asymptotics of
-zeta(j, 1+qm) and psi(1+qm); every asymptotic coefficient is an exact
-rational, divergent pieces must cancel exactly, and the reported tail
-bound is the first omitted term of each expansion (valid because the
-summands are completely monotone).  Results carry a rigorous bound or
-the evaluation raises; there is no silent truncation.
+coefficients.  The shift-0 terms do not depend on the outer variable,
+so their outer sum is exact.  Every other term is summed to a cutoff M,
+and its tail is one Euler-Maclaurin series in zeta(r, M+1), psi(1+qm)
+being the j = 1 case of zeta(j, 1+qm): exact rational coefficients,
+plus a log q term and a zeta'(r0, M+1) term at the lowest power r0.
+The reported tail bound is the first omitted term of each expansion
+(valid because the summands are completely monotone).  Results carry a
+rigorous bound or the evaluation raises; there is no silent truncation.
 
 Work that does not change between calls is done once.  The tail and
 its bound read zeta(r, M+1) and its s-derivative from `_tail_table`, one
 process-wide table keyed by (r, derivative order, M, dps) and filled on
-first use.  The head reads zeta(j, 1+qm) and psi(1+qm) from one table
+first use.  The head reads zeta(j, 1+qm) and -psi(1+qm) from one table
 per `lattice_sum` call, keyed by (order, exact argument 1+qm) and filled
 with one mpmath call per key; it spans every pass of the call and is
 dropped when the call returns.  Shifts whose arguments coincide (the G2
 sum's 1, 2, 3 and 3/2 share 1+24 = 1+2*12 = 1+3*8 = 1+(3/2)*16) and the
-m <= M of an escalating call's earlier passes thus cost one call each;
-a single nonzero shift makes the direct evaluation's calls, in its
-order.  Each pass converts the partial-fraction coefficients to mpf,
-forms each shift's argument once per m, and computes each distinct
-power of m once per m.  Each value is the same deterministic mpmath
-call at the same precision, made once, and the order of arithmetic is
-unchanged, so every result is bit-identical to the direct evaluation.
+m <= M of an escalating call's earlier passes thus cost one call each.
+Each pass converts the partial-fraction coefficients to mpf, forms each
+shift's argument once per m, and computes each distinct power of m once
+per m.
 """
 from __future__ import annotations
 
@@ -34,7 +32,6 @@ from collections import defaultdict, namedtuple
 from fractions import Fraction
 from math import comb, factorial, gcd, ceil, log10, perm
 
-import mpmath
 from mpmath import mp
 
 from .arith import bernoulli_number
@@ -223,6 +220,9 @@ def _lattice_pass(merged, scale, dps, M, K, heads):
     B = sum(shifts.values())
     if B < 2:
         raise ValueError("inner sum does not converge")
+    if A + B < 3:
+        raise ValueError("outer sum does not converge")
+    r0 = A + B - 1  # the lowest power of 1/m in the tail
 
     gamma = _partial_fraction_coeffs(sorted(shifts.items()))
     # residues of the 1/u parts sum to zero; the log divergences of the
@@ -231,123 +231,75 @@ def _lattice_pass(merged, scale, dps, M, K, heads):
         raise RuntimeError("residues of the 1/u parts do not sum to zero")
 
     with mp.workdps(dps):
-        def hurwitz(j, exact, x):
-            """zeta(j, x) for j >= 2, psi(x) for j = 1, with `exact` the
-            Fraction x; read from the call's head table, filled on first use."""
-            key = (j, exact)
-            h = heads.get(key)
-            if h is None:
-                h = heads[key] = mp.zeta(j, x) if j >= 2 else mp.psi(0, x)
-            return h
+        def mpq(x):
+            return mp.mpf(x.numerator) / x.denominator
 
-        # everything the head needs that does not depend on m, once per
-        # pass: each coefficient as an mpf, zeta(j) and psi(1) for q = 0
-        # (in the direct evaluation's order), the nonzero shifts and the
-        # exponents of m (j - B for every term, and -A)
-        terms = [(q, j, mp.mpf(g.numerator) / g.denominator)
-                 for (q, j), g in gamma.items()]
-        one = (Fraction(1), mp.mpf(1))
-        zeta_j = {j: hurwitz(j, *one) for q, j, _ in terms if q == 0 and j >= 2}
-        if (0, 1) in gamma:
-            hurwitz(1, *one)
-        qs = {q for q, _, _ in terms if q != 0}
+        # shift 0 does not depend on m, so its outer sum is exact:
+        # g zeta(j) zeta(A+B-j), with euler-gamma = -psi(1) for zeta(1).
+        # Every other term has a head over m <= M from `heads` and a tail
+        # over m > M from the Euler-Maclaurin series in x = qm of
+        #   zeta(j, 1+x) ~ x^(1-j)/(j-1) - x^-j/2
+        #                  + sum_rr B_2rr/(2rr)! j(j+1)...(j+2rr-2) x^(1-j-2rr)
+        # and of -psi(1+x), its j = 1 case with -log x for the pole.
+        # c[r] multiplies zeta(r, M+1), exactly; -log q and the -log m of
+        # -log x multiply zeta(r0, M+1) and -zeta'(r0, M+1)
+        shift0 = mp.mpf(0)
+        terms = []
+        c: dict[int, Fraction] = defaultdict(Fraction)
+        log_q = mp.mpf(0)
+        log_m = Fraction(0)
+        bound = mp.mpf(0)
+        bf = [bernoulli_number(2 * rr, "at-zero") / factorial(2 * rr)
+              for rr in range(K + 2)]  # B_2rr / (2rr)!
+        for (q, j), g in gamma.items():
+            if q == 0:
+                if A + B - j < 2:
+                    raise ValueError("outer sum does not converge")
+                shift0 += (mpq(g) * (mp.zeta(j) if j >= 2 else mp.euler)
+                           * mp.zeta(A + B - j))
+                continue
+            terms.append((q, j, mpq(g)))
+            if j >= 2:
+                c[r0] += g * q ** (1 - j) / (j - 1)
+            else:
+                log_q -= mpq(g) * mp.log(mpq(q))
+                log_m -= g
+            c[r0 + 1] -= g * q ** -j / 2
+            for rr in range(1, K + 1):
+                rise = perm(j + 2 * rr - 2, 2 * rr - 1)  # j (j+1) ... (j+2rr-2)
+                c[r0 + 2 * rr] += g * bf[rr] * rise * q ** (1 - j - 2 * rr)
+            omit = abs(g * bf[K + 1] * perm(j + 2 * K, 2 * K + 1)
+                       * q ** (-1 - j - 2 * K))
+            bound += mpq(omit) * _tail_zeta(r0 + 2 * K + 2, 0, M, dps)
+
+        # zeta(j, 1+qm) or -psi(1+qm) by (order j, exact 1+qm), filled on
+        # first use; each argument 1+qm, exact and as an mpf, and each
+        # exponent of m (j - B for every term, and -A) once per m
+        qs = {q for q, _, _ in terms}
         exponents = {j - B for _, j, _ in terms} | {-A}
 
         def inner_sum(m):
             power = {e: mp.power(m, e) for e in exponents}
-            # each shift's argument 1 + q m, exact and as an mpf, once per m
             arg = {q: (1 + q * m, 1 + mp.mpf(q.numerator) * m / q.denominator)
                    for q in qs}
-            arg[0] = one
             tot = mp.mpf(0)
             for q, j, gm in terms:
-                h = hurwitz(j, *arg[q])
-                if j >= 2:
-                    tot += gm * power[j - B] * h
-                else:
-                    tot -= gm * power[1 - B] * h
+                exact_x, x = arg[q]
+                h = heads.get((j, exact_x))
+                if h is None:
+                    h = heads[(j, exact_x)] = (mp.zeta(j, x) if j >= 2
+                                               else -mp.psi(0, x))
+                tot += gm * power[j - B] * h
             return tot * power[-A]
 
         head = mp.fsum(inner_sum(m) for m in range(1, M + 1))
+        tail = (log_q * _tail_zeta(r0, 0, M, dps)
+                - mpq(log_m) * _tail_zeta(r0, 1, M, dps))
+        for r, val in sorted(c.items()):
+            tail += mpq(val) * _tail_zeta(r, 0, M, dps)
 
-        # tail coefficients, exact: c[r][symbol] multiplies zeta(r, M+1),
-        # d[r] multiplies -zeta'(r, M+1); symbols are 1, euler-gamma,
-        # zeta(j) and log q
-        c: dict[int, dict] = defaultdict(lambda: defaultdict(Fraction))
-        d: dict[int, Fraction] = defaultdict(Fraction)
-        bound = mp.mpf(0)
-
-        def b2(r):
-            return bernoulli_number(r, "at-zero")
-
-        for (q, j), g in gamma.items():
-            if j >= 2:
-                if q == 0:
-                    r = A + B - j
-                    if r < 2:
-                        raise ValueError("outer sum does not converge")
-                    c[r][("zeta", j)] += g
-                    continue
-                base = A + B - j
-                c[base + j - 1][1] += g * q ** (1 - j) / (j - 1)
-                c[base + j][1] += -g * q ** (-j) / 2
-                for rr in range(1, K + 1):
-                    rise = perm(j + 2 * rr - 2, 2 * rr - 1)  # j (j+1) ... (j+2rr-2)
-                    c[base + j - 1 + 2 * rr][1] += (g * b2(2 * rr) * rise
-                                                    / factorial(2 * rr)
-                                                    * q ** (1 - j - 2 * rr))
-                omit = abs(g * b2(2 * K + 2) / factorial(2 * K + 2)
-                           * perm(j + 2 * K, 2 * K + 1) * q ** (1 - j - 2 * K - 2))
-                bound += (mp.mpf(omit.numerator) / omit.denominator
-                          * _tail_zeta(base + j + 1 + 2 * K, 0, M, dps))
-            else:
-                gg = -g
-                r0 = A + B - 1
-                if r0 < 2:
-                    raise ValueError("outer sum does not converge")
-                if q == 0:
-                    c[r0][("gamma",)] += -gg
-                    continue
-                c[r0][("logq", q)] += gg
-                d[r0] += gg
-                c[r0 + 1][1] += gg / (2 * q)
-                for rr in range(1, K + 1):
-                    c[r0 + 2 * rr][1] += -gg * b2(2 * rr) / (2 * rr * q ** (2 * rr))
-                omit = abs(gg * b2(2 * K + 2) / ((2 * K + 2) * q ** (2 * K + 2)))
-                bound += (mp.mpf(omit.numerator) / omit.denominator
-                          * _tail_zeta(r0 + 2 * K + 2, 0, M, dps))
-
-        # any formally divergent coefficient must have cancelled exactly
-        for r in [r for r in c if r < 2]:
-            for sym, val in c[r].items():
-                if val != 0:
-                    raise RuntimeError(f"divergent tail term m^-{r} {sym}")
-            del c[r]
-        for r in [r for r in d if r < 2]:
-            if d[r] != 0:
-                raise RuntimeError(f"divergent tail term log(m) m^-{r}")
-            del d[r]
-
-        tail = mp.mpf(0)
-        for r, syms in sorted(c.items()):
-            coef = mp.mpf(0)
-            for sym, val in syms.items():
-                x = mp.mpf(val.numerator) / val.denominator
-                if sym == 1:
-                    coef += x
-                elif sym == ("gamma",):
-                    coef += x * mp.euler
-                elif sym[0] == "zeta":
-                    coef += x * zeta_j[sym[1]]
-                else:
-                    coef += x * mp.log(mp.mpf(sym[1].numerator) / sym[1].denominator)
-            tail += coef * _tail_zeta(r, 0, M, dps)
-        for r, val in sorted(d.items()):
-            tail += -mp.mpf(val.numerator) / val.denominator * _tail_zeta(r, 1, M, dps)
-
-        prefactor = scale * cn_scale
-        pref = mp.mpf(prefactor.numerator) / prefactor.denominator
-        return (head + tail) * pref, abs(bound * pref)
+        pref = mpq(scale * cn_scale)
+        return (shift0 + head + tail) * pref, abs(bound * pref)
 
 
 def lattice_sum(factors, precision: Precision = DEFAULT_PRECISION,
@@ -376,7 +328,7 @@ def lattice_sum(factors, precision: Precision = DEFAULT_PRECISION,
         merged = {(cn, cm): b for (cm, cn), b in merged.items()}
 
     M = cutoff if cutoff is not None else max(40, int(24 / qmin) + 1)
-    # zeta(j, 1+qm) and psi(1+qm) by (order j, exact 1+qm), for every pass
+    # zeta(j, 1+qm) and -psi(1+qm) by (order j, exact 1+qm), for every pass
     heads: dict[tuple, object] = {}
     while True:
         value, bound = _lattice_pass(merged, scale, precision.dps, M, order,

@@ -2,6 +2,9 @@
 lattice sums against classical anchors, exact recurrences, brute force
 and themselves (orientation swap), plus bound honesty.
 """
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from tornheim.constants import (SymbolicValue, PI, SQRT3,
 from tornheim.numeric import (DEFAULT_PRECISION, Precision, PrecisionError,
                               check_values, eval_constant, eval_symbolic,
                               lattice_sum, verify, _partial_fraction_coeffs)
+import tornheim
 from tornheim import numeric
 from tornheim.g2 import G2Request
 from tornheim.parity import EvalRequest
@@ -202,6 +206,38 @@ def test_divergent_inputs_rejected():
         lattice_sum([(-1, 1, 2), (1, 0, 2)], PREC)
 
 
+def test_convergence_and_residue_checks_survive_optimize():
+    # the guards are raises, not asserts: under python -O a sum that
+    # diverges inner, outer, or through its shift 0, and a partial
+    # fraction whose residues do not cancel, must still raise
+    script = ("import tornheim.numeric as n\n"
+              "for factors in ([(1, 0, 5), (0, 1, 1)], [(1, 1, 2)],\n"
+              "                [(0, 1, 2), (1, 1, 1)]):\n"
+              "    try:\n"
+              "        n.lattice_sum(factors)\n"
+              "    except ValueError as exc:\n"
+              "        print(exc)\n"
+              "exact = n._partial_fraction_coeffs\n"
+              "def broken(shifts):\n"
+              "    out = exact(shifts)\n"
+              "    out[(0, 1)] += 1\n"
+              "    return out\n"
+              "n._partial_fraction_coeffs = broken\n"
+              "try:\n"
+              "    n.lattice_sum([(1, 0, 2), (0, 1, 2), (1, 1, 1)])\n"
+              "except RuntimeError as exc:\n"
+              "    print(exc)\n")
+    src = os.path.dirname(os.path.dirname(tornheim.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "inner sum does not converge", "outer sum does not converge",
+        "outer sum does not converge",
+        "residues of the 1/u parts do not sum to zero"]
+
+
 def test_gcd_is_folded_out_of_forms():
     v1, b1, _ = lattice_sum([(1, 0, 2), (0, 1, 2), (2, 4, 2)], PREC)
     v2, b2, _ = lattice_sum([(1, 0, 2), (0, 1, 2), (1, 2, 2)], PREC)
@@ -285,27 +321,36 @@ def test_g2_head_evaluates_each_argument_once(head_calls):
     shifts = {F(1): 2, F(2): 2, F(3): 2, F(3, 2): 3}
     needed = {(j, 1 + q * m) for q, beta in shifts.items()
               for j in range(1, beta + 1) for m in range(1, M + 1)}
-    needed.add((1, F(1)))
-    assert len(head_calls) == len(needed) < M * sum(shifts.values()) + 1
+    assert len(head_calls) == len(needed) < M * sum(shifts.values())
     assert {(j, F(int(2 * x), 2)) for j, x in head_calls} == needed
 
 
 def test_eval_head_calls_are_unchanged(head_calls):
-    # one nonzero shift, 3/2 with exponent 4: four calls per m, none shared,
-    # plus psi(1) for the shift 0 (the exponent 1 of m)
+    # one nonzero shift, 3/2 with exponent 4: four calls per m, none shared;
+    # the shift 0 (the exponent 1 of m) is summed exactly and calls nothing
     _, _, M = lattice_sum(EvalRequest(2, 3, 1, 2, 4).factors, PREC)
-    assert len(head_calls) == len(set(head_calls)) == 4 * M + 1
+    assert len(head_calls) == len(set(head_calls)) == 4 * M
     assert sum(j >= 2 for j, _ in head_calls) == 3 * M
 
 
 def test_escalated_call_evaluates_no_argument_twice(head_calls):
-    # zeta(2), psi(1) and psi(1+m) for m up to the final cutoff, once each
-    # over every pass from the seed 4 up
+    # psi(1+m) for m up to the final cutoff, once each over every pass
+    # from the seed 4 up; the shift 0 is summed exactly and calls nothing
     factors = [(1, 0, 2), (0, 1, 2), (1, 1, 1)]
     _, _, M = lattice_sum(factors, Precision(digits=30, tolerance=1e-20),
                           cutoff=4)
     assert M > 4
-    assert len(head_calls) == len(set(head_calls)) == M + 2
+    assert len(head_calls) == len(set(head_calls)) == M
+
+
+def test_shift_zero_is_summed_exactly(head_calls):
+    # sum 1/(m^3 n^2) = zeta(2) zeta(3): the only inner shift is 0, so the
+    # outer sum is exact, with no head value, no tail and no bound
+    value, bound, _ = lattice_sum([(1, 0, 3), (0, 1, 2)], PREC)
+    assert head_calls == []
+    assert bound == 0
+    with mp.workdps(PREC.dps):
+        assert abs(value / (mp.zeta(2) * mp.zeta(3)) - 1) < mp.mpf("1e-38")
 
 
 def test_eval_g2_series_matches_brute_force():

@@ -296,15 +296,18 @@ def test_closed_form_insensitive_to_constant_block_convention(monkeypatch):
     # odd weight, so reading the constant block's Bernoulli numbers in
     # the other convention must not change any closed form
     import tornheim.parity as parity
+    from tornheim.arith import bernoulli_polys
 
-    def flipped(k, convention):
-        if convention == "at-one":
-            return bernoulli_number(k, "at-zero")
-        return bernoulli_number(k, convention)
+    def flipped(k, x):
+        # the constant block reads B_q(1) from bernoulli_polys at x = 1
+        values = bernoulli_polys(k, x)
+        if x == 1 and k >= 1:
+            values[1] = bernoulli_number(1, "at-zero")
+        return values
 
     cases = [(1, 2, 1, 1, 3), (1, 3, 2, 2, 3), (2, 3, 1, 2, 2),
              (2, 5, 1, 1, 3), (3, 4, 1, 2, 4)]
     expected = [closed_form(EvalRequest(*c)) for c in cases]
-    monkeypatch.setattr(parity, "bernoulli_number", flipped)
+    monkeypatch.setattr(parity, "bernoulli_polys", flipped)
     for c, want in zip(cases, expected):
         assert closed_form(EvalRequest(*c)) == want
