@@ -140,7 +140,12 @@ def cmd_g2(parser, args) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     prec = _precision(parser, args)
-    result = evaluate_g2(req, prec, collect_trace=args.show_reduction)
+    try:
+        result = evaluate_g2(req, prec, collect_trace=args.show_reduction)
+    except VerificationError as exc:  # still emit the failed record
+        print(f"verification failed: {exc}", file=sys.stderr)
+        result = exc.result
+    passed = all(c.passed for c in result.checks.values())
     if args.format == "latex":
         print(to_latex(result.clausen))
         print(to_latex(result.dirichlet))
@@ -152,15 +157,15 @@ def cmd_g2(parser, args) -> int:
             for c, a, b, e1, e2, e3 in result.reduction_list():
                 print(f"  {c} zeta_{{{a},{b}}}({e1},{e2},{e3})")
         rec = result.checks["dirichlet"]
-        print(f"# verified: relative residual {rec.rel_residual} "
-              f"at {prec.digits} digits")
+        print(f"# {'verified' if passed else 'FAILED'}: relative residual "
+              f"{rec.rel_residual} at {prec.digits} digits")
     else:
         record = _record_head("g2")
         record.update(result.to_json_dict())
         if args.show_reduction:
             record["trace"] = pfd.trace_to_json(result.trace)
         _emit(record)
-    return 0
+    return 0 if passed else 3
 
 
 def _compositions(weight: int):
@@ -217,9 +222,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(parser, args)
-    except VerificationError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, RuntimeError) as exc:  # incl. PrecisionError
         print(f"error: {exc}", file=sys.stderr)
         return 1

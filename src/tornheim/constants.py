@@ -65,11 +65,7 @@ class BaseConstant(namedtuple("BaseConstant", "kind index angle")):
 
     @property
     def weight(self) -> int:
-        if self.kind == "pi":
-            return 1
-        if self.kind in ("zeta", "C", "S", "L3"):
-            return self.index
-        return 0
+        return 1 if self.kind == "pi" else self.index  # sqrt3: index 0
 
 
 PI = BaseConstant("pi")
@@ -147,12 +143,6 @@ class SymbolicValue:
         return cls()
 
     @classmethod
-    def from_factors(cls, coeff: Rational, factors) -> "SymbolicValue":
-        """coeff * prod of (BaseConstant, exponent) pairs."""
-        carry, mono = _normalize_monomial(factors)
-        return cls({mono: Fraction(coeff) * carry})
-
-    @classmethod
     def from_terms(cls, terms) -> "SymbolicValue":
         """Sum of coeff * prod(factors) over (coeff, factors) pairs, summed
         in one dict and built once."""
@@ -213,11 +203,6 @@ class SymbolicValue:
         return f"SymbolicValue({to_text(self)!r})"
 
 
-def _c_third(j: int) -> Fraction:
-    # C_j(1/3) = (1 - 3^(j-1)) / (2 * 3^(j-1))
-    return Fraction(1 - 3 ** (j - 1), 2 * 3 ** (j - 1))
-
-
 def reduce_angle(kind: str, j: int, q: Rational) -> SymbolicValue:
     """Canonical value of C_j(q) or S_j(q) for rational q."""
     if kind not in ("C", "S"):
@@ -225,28 +210,28 @@ def reduce_angle(kind: str, j: int, q: Rational) -> SymbolicValue:
     if j < 2:
         raise ValueError("Clausen index must be >= 2 (polylog divergence)")
     q = Fraction(q) % 1
-    sign = 1
+    coeff = Fraction(1)
     if q > Fraction(1, 2):
         q = 1 - q
         if kind == "S":
-            sign = -1
+            coeff = -coeff
     if kind == "S":
         if q == 0 or q == Fraction(1, 2):
             return SymbolicValue.zero()
-        if q == Fraction(1, 6):
-            coeff = sign * (1 + Fraction(1, 2 ** (j - 1)))
-            return SymbolicValue.from_factors(coeff, [(clausen_s(j, Fraction(1, 3)), 1)])
-        return SymbolicValue.from_factors(sign, [(clausen_s(j, q), 1)])
-    if q == 0:
-        return SymbolicValue.from_factors(1, [(zeta(j), 1)])
-    if q == Fraction(1, 2):
-        return SymbolicValue.from_factors(Fraction(1, 2 ** (j - 1)) - 1, [(zeta(j), 1)])
-    if q == Fraction(1, 3):
-        return SymbolicValue.from_factors(_c_third(j), [(zeta(j), 1)])
-    if q == Fraction(1, 6):
-        coeff = (Fraction(1, 2 ** (j - 1)) - 1) * _c_third(j)
-        return SymbolicValue.from_factors(coeff, [(zeta(j), 1)])
-    return SymbolicValue.from_factors(1, [(clausen_c(j, q), 1)])
+        if q == Fraction(1, 6):  # S_j(1/6) = (1 + 2^(1-j)) S_j(1/3)
+            coeff, q = coeff * (1 + Fraction(1, 2 ** (j - 1))), Fraction(1, 3)
+        sym = clausen_s(j, q)
+    elif 6 % q.denominator == 0:
+        # C_j(q) / zeta(j) is 1 at q = 0, 2^(1-j) - 1 at 1/2,
+        # (1 - 3^(j-1)) / (2 * 3^(j-1)) at 1/3, and their product at 1/6
+        if q.denominator % 2 == 0:
+            coeff = Fraction(1, 2 ** (j - 1)) - 1
+        if q.denominator % 3 == 0:
+            coeff *= Fraction(1 - 3 ** (j - 1), 2 * 3 ** (j - 1))
+        sym = zeta(j)
+    else:
+        sym = clausen_c(j, q)
+    return SymbolicValue.from_terms([(coeff, [(sym, 1)])])
 
 
 def exact_L_rational(j: int) -> Fraction:
@@ -259,7 +244,7 @@ def exact_L_rational(j: int) -> Fraction:
 
 def exact_L_value(j: int) -> SymbolicValue:
     """L(j,chi3) for odd j as a rational multiple of sqrt(3)*pi^j."""
-    return SymbolicValue.from_factors(exact_L_rational(j), [(SQRT3, 1), (PI, j)])
+    return SymbolicValue.from_terms([(exact_L_rational(j), [(SQRT3, 1), (PI, j)])])
 
 
 def _pi_even_to_zeta(e: int) -> Fraction:
@@ -282,29 +267,31 @@ def g2_field_error(v: SymbolicValue) -> str | None:
 
 def to_dirichlet_basis(v: SymbolicValue, k: int) -> SymbolicValue:
     """Rewrite an odd-weight value over {pi, sqrt3, zeta, S_j(1/3)} into
-    products zeta(a)zeta(b) / L(a,chi3)L(b,chi3) (bare zeta(k) kept)."""
+    products zeta(a)zeta(b) / L(a,chi3)L(b,chi3) (bare zeta(k) kept), one
+    monomial at a time: S_j(1/3) = (sqrt3/2) L(j,chi3), sqrt3^2 = 3, then
+    pi^e is L(e,chi3)/q_e beside sqrt3 (e odd), else a multiple of zeta(e)."""
     if k % 2 == 0:
         raise ValueError("weight must be odd")
     outside = g2_field_error(v)
     if outside:
         raise ValueError(outside)
-    staged = []
+    products = []
     for mono, coeff in v.terms():
-        factors = []
+        s3 = e_pi = 0
+        rest = []
         for sym, e in mono:
             if sym.kind == "S":
-                # S_j(1/3) = (sqrt3/2) L(j,chi3)
                 coeff /= 2 ** e
-                factors += [(SQRT3, e), (dirichlet_l3(sym.index), e)]
+                s3 += e
+                rest.append((dirichlet_l3(sym.index), e))
+            elif sym == SQRT3:
+                s3 += e
+            elif sym == PI:
+                e_pi = e
             else:
-                factors.append((sym, e))
-        staged.append((coeff, factors))
-    products = []
-    for mono, coeff in SymbolicValue.from_terms(staged).terms():
-        e_pi = _mono_exp(mono, PI)
-        has_s3 = _mono_exp(mono, SQRT3) == 1
-        rest = [(s, e) for s, e in mono if s.kind not in ("pi", "sqrt3")]
-        if has_s3:
+                rest.append((sym, e))
+        coeff *= 3 ** (s3 // 2)
+        if s3 % 2:
             if e_pi % 2 == 0:
                 raise ValueError("sqrt(3) with even pi power has no L-product form")
             coeff /= exact_L_rational(e_pi)
@@ -339,35 +326,39 @@ def _sym_text(sym: BaseConstant, e: int) -> str:
     return s if e == 1 else f"{s}^{e}"
 
 
-def to_text(v: SymbolicValue) -> str:
-    if v.is_zero:
-        return "0"
-    parts = []
+def _join_terms(v: SymbolicValue, render, sep: str) -> str:
+    """v's terms as a signed sum; render(mono, |coeff|) draws one term and
+    sep surrounds the sign between terms."""
+    out = ""
     for mono, coeff in v.terms():
-        prefix = [p for p in mono if p[0].kind in _NO_INDEX]
-        consts = [p for p in mono if p[0].kind not in _NO_INDEX]
-        body = "".join(_sym_text(s, e) for s, e in prefix + consts)
-        n, d = abs(coeff.numerator), coeff.denominator
-        if d == 1:
-            cs = "" if (n == 1 and body) else str(n)
-        else:
-            cs = f"{n}/{d}" + (" " if body else "")
-        piece = cs + body
-        if not parts:
-            parts.append(("-" if coeff < 0 else "") + piece)
-        else:
-            parts.append(("- " if coeff < 0 else "+ ") + piece)
-    return " ".join(parts)
+        if out:
+            out += sep + ("-" if coeff < 0 else "+") + sep
+        elif coeff < 0:
+            out = "-"
+        out += render(mono, abs(coeff))
+    return out or "0"
+
+
+def _term_text(mono: Monomial, coeff: Fraction) -> str:
+    prefix = [p for p in mono if p[0].kind in _NO_INDEX]
+    consts = [p for p in mono if p[0].kind not in _NO_INDEX]
+    body = "".join(_sym_text(s, e) for s, e in prefix + consts)
+    n, d = coeff.numerator, coeff.denominator
+    if d == 1:
+        return ("" if (n == 1 and body) else str(n)) + body
+    return f"{n}/{d}" + (" " if body else "") + body
+
+
+def to_text(v: SymbolicValue) -> str:
+    return _join_terms(v, _term_text, " ")
+
+
+def _script_latex(mark: str, x: int) -> str:
+    return f"{mark}{x}" if x < 10 else f"{mark}{{{x}}}"
 
 
 def _exp_latex(e: int) -> str:
-    if e == 1:
-        return ""
-    return f"^{e}" if e < 10 else f"^{{{e}}}"
-
-
-def _sub_latex(j: int) -> str:
-    return f"_{j}" if j < 10 else f"_{{{j}}}"
+    return "" if e == 1 else _script_latex("^", e)
 
 
 def _sym_latex(sym: BaseConstant, e: int) -> str:
@@ -377,40 +368,24 @@ def _sym_latex(sym: BaseConstant, e: int) -> str:
         s = rf"L({sym.index},\chi_3)"
     else:
         q = sym.angle
-        s = (sym.kind + _sub_latex(sym.index)
+        s = (sym.kind + _script_latex("_", sym.index)
              + rf"(\tfrac{{{q.numerator}}}{{{q.denominator}}})")
     return s + _exp_latex(e)
 
 
+def _term_latex(mono: Monomial, coeff: Fraction) -> str:
+    pi_e = _mono_exp(mono, PI)
+    numerator = ((str(coeff.numerator) if coeff.numerator != 1 else "")
+                 + (r"\sqrt{3}" if _mono_exp(mono, SQRT3) else "")
+                 + (r"\pi" + _exp_latex(pi_e) if pi_e else ""))
+    consts = "".join(_sym_latex(s, e) for s, e in mono if s.kind not in _NO_INDEX)
+    if coeff.denominator == 1:
+        return (numerator + consts) or "1"
+    return rf"\frac{{{numerator or '1'}}}{{{coeff.denominator}}}" + consts
+
+
 def to_latex(v: SymbolicValue) -> str:
-    if v.is_zero:
-        return "0"
-    parts = []
-    for mono, coeff in v.terms():
-        num_factors = []
-        n, d = abs(coeff.numerator), coeff.denominator
-        s3 = _mono_exp(mono, SQRT3)
-        pi_e = _mono_exp(mono, PI)
-        if n != 1:
-            num_factors.append(str(n))
-        if s3:
-            num_factors.append(r"\sqrt{3}")
-        if pi_e:
-            num_factors.append(r"\pi" + _exp_latex(pi_e))
-        consts = "".join(_sym_latex(s, e) for s, e in mono
-                         if s.kind not in _NO_INDEX)
-        numerator = "".join(num_factors)
-        if d == 1:
-            body = numerator + consts
-            if not body:
-                body = "1"
-        else:
-            body = rf"\frac{{{numerator or '1'}}}{{{d}}}" + consts
-        if not parts:
-            parts.append(("-" if coeff < 0 else "") + body)
-        else:
-            parts.append(("-" if coeff < 0 else "+") + body)
-    return "".join(parts)
+    return _join_terms(v, _term_latex, "")
 
 
 # ------------------------------------------------------------ serialization

@@ -16,7 +16,7 @@ passed `closed_form`'s own checks when it was computed.
 
 Every result is verified against the high-precision double series
 before it is returned; an identity that fails its numeric check raises
-VerificationError instead of being emitted.
+VerificationError, which carries the result and its failed records.
 """
 from __future__ import annotations
 
@@ -31,7 +31,14 @@ from .parity import EvalRequest, closed_form
 
 
 class VerificationError(RuntimeError):
-    """A symbolic result failed its mandatory numeric check."""
+    """A symbolic result failed its mandatory numeric check; `result` is
+    the G2ClosedForm with its check records."""
+
+    def __init__(self, result: "G2ClosedForm"):
+        super().__init__("numeric check failed: " + "; ".join(
+            f"{c.label}: residual {c.rel_residual}"
+            for c in result.checks.values() if not c.passed))
+        self.result = result
 
 
 class G2Request(namedtuple("G2Request", "ks")):
@@ -141,11 +148,9 @@ def evaluate_g2(req: G2Request,
 
     checks = verify({"clausen": clausen, "dirichlet": dirichlet}, req.factors,
                     precision)
-    failed = [c for c in checks.values() if not c.passed]
-    if failed:
-        raise VerificationError(
-            "numeric check failed: " + "; ".join(
-                f"{c.label}: residual {c.rel_residual}" for c in failed))
-    return G2ClosedForm(request=req, clausen=clausen, dirichlet=dirichlet,
-                        reduction=reduced, checks=checks, precision=precision,
-                        trace=trace or [])
+    result = G2ClosedForm(request=req, clausen=clausen, dirichlet=dirichlet,
+                          reduction=reduced, checks=checks, precision=precision,
+                          trace=trace)
+    if not all(c.passed for c in checks.values()):
+        raise VerificationError(result)
+    return result

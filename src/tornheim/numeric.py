@@ -102,9 +102,10 @@ _const_cache: dict[tuple, object] = {}
 def eval_constant(c: BaseConstant, precision: Precision = DEFAULT_PRECISION):
     """One base constant as a real at working precision.
 
-    Clausen values via periodic grouping over one period N:
-    C_j(d/N) = N^-j sum_{r=1..N} cos(2 pi r d/N) zeta(j, r/N), same with
-    sin; L(j,chi3) = 3^-j (zeta(j,1/3) - zeta(j,2/3)), digamma at j=1.
+    C_j(d/N), S_j(d/N) and L(j,chi3) are one periodic Hurwitz sum,
+    N^-j sum_{r=1..N} w_r zeta(j, r/N) with w_r = cos(2 pi r d/N),
+    sin(2 pi r d/N) or chi3(r) (N = 3), -psi(r/N) at j = 1.  mp.psi keeps
+    guard bits, so integer weights multiply exactly: the sum rounds once.
     """
     key = (c, precision.dps)
     if key in _const_cache:
@@ -116,19 +117,19 @@ def eval_constant(c: BaseConstant, precision: Precision = DEFAULT_PRECISION):
             v = mp.sqrt(3)
         elif c.kind == "zeta":
             v = mp.zeta(c.index)
-        elif c.kind == "L3":
-            if c.index == 1:
-                v = -(mp.psi(0, mp.mpf(1) / 3) - mp.psi(0, mp.mpf(2) / 3)) / 3
-            else:
-                third = mp.mpf(1) / 3
-                v = (mp.zeta(c.index, third)
-                     - mp.zeta(c.index, 2 * third)) / mp.mpf(3) ** c.index
         else:
-            j, q = c.index, c.angle
-            N, d = q.denominator, q.numerator
-            trig = mp.cos if c.kind == "C" else mp.sin
-            v = mp.fsum(trig(2 * mp.pi * r * d / N) * mp.zeta(j, mp.mpf(r) / N)
-                        for r in range(1, N + 1)) / mp.mpf(N) ** j
+            j = c.index
+            if c.kind == "L3":
+                N, weights = 3, {1: 1, 2: -1}
+            else:
+                N, d = c.angle.denominator, c.angle.numerator
+                trig = mp.cos if c.kind == "C" else mp.sin
+                weights = {r: trig(2 * mp.pi * r * d / N) for r in range(1, N + 1)}
+            # at j = 1 the sum is of psi = -zeta(1, .), so N^-j takes the sign
+            v = mp.fsum(mp.fmul(w, mp.zeta(j, mp.mpf(r) / N) if j >= 2
+                                else mp.psi(0, mp.mpf(r) / N),
+                                exact=isinstance(w, int))
+                        for r, w in weights.items()) / (mp.mpf(N) ** j if j >= 2 else -N)
     _const_cache[key] = v
     return v
 
@@ -211,9 +212,8 @@ def _lattice_pass(merged, scale, dps, M, K, heads):
     cn_scale = Fraction(1)
     shifts: dict[Fraction, int] = {}
     for (cm, cn), b in merged.items():
-        if cn == 0:
+        if cn == 0:  # the primitive bare-m form, cm = 1
             A += b
-            cn_scale *= Fraction(cm) ** (-b)
         else:
             cn_scale *= Fraction(cn) ** (-b)
             shifts[Fraction(cm, cn)] = shifts.get(Fraction(cm, cn), 0) + b
@@ -243,12 +243,10 @@ def _lattice_pass(merged, scale, dps, M, K, heads):
         # and of -psi(1+x), its j = 1 case with -log x for the pole.
         # c[r] multiplies zeta(r, M+1), exactly; -log q and the -log m of
         # -log x multiply zeta(r0, M+1) and -zeta'(r0, M+1)
-        shift0 = mp.mpf(0)
+        shift0 = log_q = bound = mp.mpf(0)
         terms = []
         c: dict[int, Fraction] = defaultdict(Fraction)
-        log_q = mp.mpf(0)
         log_m = Fraction(0)
-        bound = mp.mpf(0)
         bf = [bernoulli_number(2 * rr, "at-zero") / factorial(2 * rr)
               for rr in range(K + 2)]  # B_2rr / (2rr)!
         for (q, j), g in gamma.items():
@@ -293,10 +291,12 @@ def _lattice_pass(merged, scale, dps, M, K, heads):
             return tot * power[-A]
 
         head = mp.fsum(inner_sum(m) for m in range(1, M + 1))
-        tail = (log_q * _tail_zeta(r0, 0, M, dps)
-                - mpq(log_m) * _tail_zeta(r0, 1, M, dps))
-        for r, val in sorted(c.items()):
-            tail += mpq(val) * _tail_zeta(r, 0, M, dps)
+        # a zero coefficient adds an exact 0, so its zeta is not evaluated
+        tail = mp.mpf(0)
+        for val, r, derivative in ([(log_q, r0, 0), (-mpq(log_m), r0, 1)]
+                                   + [(mpq(v), r, 0) for r, v in sorted(c.items())]):
+            if val:
+                tail += val * _tail_zeta(r, derivative, M, dps)
 
         pref = mpq(scale * cn_scale)
         return (shift0 + head + tail) * pref, abs(bound * pref)
@@ -315,17 +315,16 @@ def lattice_sum(factors, precision: Precision = DEFAULT_PRECISION,
     """
     merged, scale = _normalize_factors(factors)
 
-    def min_shift(inner_second: bool) -> Fraction:
-        qs = [Fraction(cm, cn) if inner_second else Fraction(cn, cm)
-              for (cm, cn) in merged
-              if cm > 0 and cn > 0]
-        return min(qs) if qs else Fraction(1)
+    def min_shift(forms) -> Fraction:  # with n the exactly summed variable
+        return min((Fraction(cm, cn) for cm, cn in forms if cm and cn),
+                   default=Fraction(1))
 
+    swapped = {(cn, cm): b for (cm, cn), b in merged.items()}
     if swap is None:
-        swap = min_shift(False) > min_shift(True)
-    qmin = min_shift(not swap)  # min_shift reads merged, so before the swap
+        swap = min_shift(swapped) > min_shift(merged)
     if swap:
-        merged = {(cn, cm): b for (cm, cn), b in merged.items()}
+        merged = swapped
+    qmin = min_shift(merged)
 
     M = cutoff if cutoff is not None else max(40, int(24 / qmin) + 1)
     # zeta(j, 1+qm) and -psi(1+qm) by (order j, exact 1+qm), for every pass

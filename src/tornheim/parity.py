@@ -144,7 +144,7 @@ def zeta_integral_coeff(a: int, b: int, r: int, s: int) -> SymbolicValue:
         return SymbolicValue.zero()
     g = gcd(a, b)
     coeff = Fraction(g ** (r + s), a ** s * b ** r)
-    return SymbolicValue.from_factors(coeff, [(zeta(r + s), 1)])
+    return SymbolicValue.from_terms([(coeff, [(zeta(r + s), 1)])])
 
 
 def _real_terms(k: int, e: int, x: Fraction, cst: SymbolicValue) -> list:

@@ -34,7 +34,7 @@ PAIRS = [(1, 1), (1, 2), (1, 3), (2, 3), (2, 5), (3, 4)]
 
 
 def sv(coeff, *factors):
-    return SymbolicValue.from_factors(coeff, list(factors))
+    return SymbolicValue.from_terms([(coeff, list(factors))])
 
 
 def report(capsys, name, ok, detail=""):

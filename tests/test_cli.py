@@ -115,10 +115,26 @@ def test_verification_failure_exits_three(monkeypatch):
                            "--verify")
     assert code == 3
     assert "FAILED" in out
-    # VerificationError is a RuntimeError, yet keeps its own exit code
-    code, _, err = run_cli("g2", "--k", "2", "1", "1", "1", "1", "1")
+    # VerificationError is a RuntimeError, yet keeps its own exit code, and
+    # the failed G2 result is still printed
+    code, out, err = run_cli("g2", "--k", "2", "1", "1", "1", "1", "1")
     assert code == 3
     assert "verification failed" in err
+    assert out.startswith("clausen  :")
+    assert out.splitlines()[-1].startswith("# FAILED: relative residual")
+
+
+def test_failed_g2_check_still_emits_its_record(monkeypatch):
+    monkeypatch.setattr(numeric, "lattice_sum", wrong_oracle)
+    code, out, err = run_cli("g2", "--k", "2", "1", "1", "1", "1", "1",
+                             "--format", "json")
+    assert code == 3
+    assert err.startswith("verification failed: numeric check failed")
+    record = json.loads(out)
+    assert record["command"] == "g2" and record["request"] == [2, 1, 1, 1, 1, 1]
+    assert set(record["checks"]) == {"clausen", "dirichlet"}
+    assert not any(c["passed"] for c in record["checks"].values())
+    assert all(c["rhs"] == "1.25" for c in record["checks"].values())
 
 
 def broken_oracle(*args, **kwargs):

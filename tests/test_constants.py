@@ -8,9 +8,10 @@ package's own Hurwitz-zeta evaluator.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from tornheim import constants
 from tornheim.constants import (BaseConstant, PI, SQRT3, SymbolicValue,
                                 clausen_c, clausen_s, dirichlet_l3,
                                 exact_L_rational, exact_L_value, from_json,
@@ -23,7 +24,7 @@ F = Fraction
 
 
 def sv(coeff, *factors):
-    return SymbolicValue.from_factors(coeff, list(factors))
+    return SymbolicValue.from_terms([(coeff, list(factors))])
 
 
 # ------------------------------------------------------- canonical symbols
@@ -54,7 +55,7 @@ def test_base_constant_validation():
 
 
 def test_monomial_normalization():
-    assert sv(1, (SQRT3, 2)) == SymbolicValue.from_factors(3, [])
+    assert sv(1, (SQRT3, 2)) == SymbolicValue.from_terms([(3, [])])
     assert sv(1, (SQRT3, 3)) == sv(3, (SQRT3, 1))
     assert sv(2, (PI, 1), (PI, 2)) == sv(2, (PI, 3))
 
@@ -65,7 +66,7 @@ def test_from_terms_equals_the_sum_of_its_terms():
              (0, [(zeta(5), 1)]), (F(-1, 3), [(SQRT3, 1), (PI, 2)])]
     total = SymbolicValue.zero()
     for coeff, factors in terms:
-        total = total + SymbolicValue.from_factors(coeff, factors)
+        total = total + SymbolicValue.from_terms([(coeff, factors)])
     built = SymbolicValue.from_terms(terms)
     assert built == total == sv(F(9, 2), (PI, 1)) + sv(F(-1, 3), (SQRT3, 1), (PI, 2))
     assert built.terms() == total.terms()
@@ -79,7 +80,7 @@ def test_coefficient_accounts_for_carry():
 
 def test_algebra_ring_axioms():
     x = sv(2, (zeta(3), 1)) + sv(F(1, 2), (PI, 1))
-    y = sv(1, (PI, 2)) - SymbolicValue.from_factors(3, [])
+    y = sv(1, (PI, 2)) - SymbolicValue.from_terms([(3, [])])
     z = sv(F(-1, 3), (SQRT3, 1), (PI, 1))
     assert (x + y) * z == x * z + y * z
     assert x * y == y * x
@@ -193,6 +194,82 @@ def test_dirichlet_basis_rejections():
         to_dirichlet_basis(sv(1, (zeta(5), 1)), 7)     # weight mismatch
 
 
+def _two_stage_dirichlet(v, k):
+    """The earlier two-stage rewrite, kept as the reference: S_j(1/3) ->
+    (sqrt3/2) L(j,chi3) into a new value, then its pi powers walked."""
+    if k % 2 == 0:
+        raise ValueError("weight must be odd")
+    outside = g2_field_error(v)
+    if outside:
+        raise ValueError(outside)
+    staged = []
+    for mono, coeff in v.terms():
+        factors = []
+        for sym, e in mono:
+            if sym.kind == "S":
+                coeff /= 2 ** e
+                factors += [(SQRT3, e), (dirichlet_l3(sym.index), e)]
+            else:
+                factors.append((sym, e))
+        staged.append((coeff, factors))
+    products = []
+    for mono, coeff in SymbolicValue.from_terms(staged).terms():
+        e_pi = constants._mono_exp(mono, PI)
+        has_s3 = constants._mono_exp(mono, SQRT3) == 1
+        rest = [(s, e) for s, e in mono if s.kind not in ("pi", "sqrt3")]
+        if has_s3:
+            if e_pi % 2 == 0:
+                raise ValueError("sqrt(3) with even pi power")
+            coeff /= exact_L_rational(e_pi)
+            rest.append((dirichlet_l3(e_pi), 1))
+        elif e_pi:
+            if e_pi % 2:
+                raise ValueError("odd pi power without sqrt(3)")
+            coeff *= constants._pi_even_to_zeta(e_pi)
+            rest.append((zeta(e_pi), 1))
+        products.append((coeff, rest))
+    out = SymbolicValue.from_terms(products)
+    for mono, _ in out.terms():
+        if mono_weight(mono) != k:
+            raise ValueError("weight mismatch")
+    return out
+
+
+_G2_FIELD = [SQRT3, zeta(2), zeta(3), clausen_s(2, F(1, 3)),
+             clausen_s(3, F(1, 3)), clausen_s(4, F(1, 3))]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([5, 7, 9, 11, 13]), st.lists(st.tuples(
+    st.fractions(min_value=-5, max_value=5, max_denominator=64),
+    st.lists(st.sampled_from(_G2_FIELD), max_size=3),
+    st.sampled_from([0, 0, 0, 1, -1])), min_size=1, max_size=4))
+def test_one_pass_dirichlet_equals_two_stage(k, spec):
+    # a repeated symbol is a power (sqrt3^2 folds to 3); pi fills each
+    # monomial up to weight k, and a zeta(3) first makes the pi power's
+    # parity that of the sqrt3 count, so most values convert.  A nonzero
+    # shift moves the pi power and hits the rejections: sqrt3 beside an
+    # even pi power, an odd pi power alone, a wrong weight
+    terms = []
+    for coeff, syms, shift in spec:
+        factors = [(sym, 1) for sym in syms]
+        s3 = sum(sym == SQRT3 or sym.kind == "S" for sym in syms)
+        w = sum(sym.weight for sym in syms)
+        if (k - w - s3) % 2:
+            factors.append((zeta(3), 1))
+            w += 3
+        terms.append((coeff, factors + [(PI, max(0, k - w + shift))]))
+    v = SymbolicValue.from_terms(terms)
+    try:
+        want = _two_stage_dirichlet(v, k)
+    except ValueError:
+        with pytest.raises(ValueError):
+            to_dirichlet_basis(v, k)
+        return
+    got = to_dirichlet_basis(v, k)
+    assert got == want and got.terms() == want.terms()
+
+
 def test_g2_field_error_names_the_first_constant_outside():
     assert g2_field_error(sv(1, (PI, 1), (clausen_s(4, F(1, 3)), 1))) is None
     assert g2_field_error(sv(1, (clausen_s(3, F(1, 4)), 1), (PI, 2))) \
@@ -212,7 +289,7 @@ def test_mono_weight():
 
 def test_to_text():
     assert to_text(SymbolicValue.zero()) == "0"
-    assert to_text(SymbolicValue.from_factors(F(-3, 2), [])) == "-3/2"
+    assert to_text(SymbolicValue.from_terms([(F(-3, 2), [])])) == "-3/2"
     v = sv(4, (zeta(5), 1)) - sv(F(1, 3), (PI, 2), (zeta(3), 1))
     assert to_text(v) == "4ζ(5) - 1/3 π^2ζ(3)"
     w = sv(F(9, 2), (dirichlet_l3(1), 1), (dirichlet_l3(4), 1))

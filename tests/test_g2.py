@@ -23,7 +23,7 @@ F = Fraction
 
 
 def sv(coeff, *factors):
-    return SymbolicValue.from_factors(coeff, list(factors))
+    return SymbolicValue.from_terms([(coeff, list(factors))])
 
 
 def test_request_validation():

@@ -52,6 +52,8 @@ def test_check_values_relative_and_absolute():
     zeta(2), zeta(7),
     clausen_c(2, F(1, 5)), clausen_c(4, F(2, 5)), clausen_c(3, F(1, 4)),
     clausen_s(2, F(1, 3)), clausen_s(5, F(1, 3)), clausen_s(3, F(3, 8)),
+    clausen_c(3, F(2, 7)), clausen_s(4, F(3, 7)),
+    clausen_c(2, F(3, 8)), clausen_s(6, F(1, 8)),
 ])
 def test_constants_against_mpmath(sym):
     # clcos/clsin share no code with the Hurwitz-zeta evaluation used here
@@ -66,7 +68,7 @@ def test_constants_against_mpmath(sym):
         assert abs(got - want) <= mp.mpf("1e-33") * (1 + abs(want))
 
 
-@pytest.mark.parametrize("j", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("j", [1, 2, 3, 4, 6, 9, 13])
 def test_l3_against_clausen_sum(j):
     # L(j, chi3) = (2/sqrt(3)) S_j(1/3), summing chi3 over one period
     with mp.workdps(40):
@@ -76,8 +78,8 @@ def test_l3_against_clausen_sum(j):
 
 
 def test_eval_symbolic_mixed_value():
-    v = SymbolicValue.from_factors(2, [(SQRT3, 1), (PI, 2)]) \
-        - SymbolicValue.from_factors(F(1, 3), [(zeta(3), 1)])
+    v = SymbolicValue.from_terms([(2, [(SQRT3, 1), (PI, 2)])]) \
+        - SymbolicValue.from_terms([(F(1, 3), [(zeta(3), 1)])])
     with mp.workdps(40):
         want = 2 * mp.sqrt(3) * mp.pi ** 2 - mp.zeta(3) / 3
         assert abs(eval_symbolic(v, PREC) - want) <= mp.mpf("1e-33")
@@ -247,8 +249,8 @@ def test_gcd_is_folded_out_of_forms():
 
 def test_verify_records_share_one_oracle_value():
     # sum 1/(m n (m+n)) = 2 zeta(3); a wrong value fails on its own record
-    right = SymbolicValue.from_factors(2, [(zeta(3), 1)])
-    wrong = SymbolicValue.from_factors(F(201, 100), [(zeta(3), 1)])
+    right = SymbolicValue.from_terms([(2, [(zeta(3), 1)])])
+    wrong = SymbolicValue.from_terms([(F(201, 100), [(zeta(3), 1)])])
     recs = verify({"right": right, "wrong": wrong},
                   EvalRequest(1, 1, 1, 1, 1).factors, PREC)
     assert list(recs) == ["right", "wrong"]
@@ -351,6 +353,22 @@ def test_shift_zero_is_summed_exactly(head_calls):
     assert bound == 0
     with mp.workdps(PREC.dps):
         assert abs(value / (mp.zeta(2) * mp.zeta(3)) - 1) < mp.mpf("1e-38")
+
+
+def test_zero_tail_coefficients_evaluate_nothing(monkeypatch):
+    # the only inner shift is 0, so every tail coefficient is zero and no
+    # zeta(r, M+1) or zeta'(r, M+1) may be evaluated
+    monkeypatch.setattr(numeric, "_tail_table", {})
+    points = []
+    plain_zeta = mp.zeta
+
+    def zeta(s, a=1, *args, **kwargs):
+        points.append(a)
+        return plain_zeta(s, a, *args, **kwargs)
+
+    monkeypatch.setattr(mp, "zeta", zeta)
+    _, _, M = lattice_sum([(1, 0, 3), (0, 1, 2)], PREC)
+    assert points and M + 1 not in points
 
 
 def test_eval_g2_series_matches_brute_force():

@@ -23,7 +23,7 @@ F = Fraction
 
 
 def sv(coeff, *factors):
-    return SymbolicValue.from_factors(coeff, list(factors))
+    return SymbolicValue.from_terms([(coeff, list(factors))])
 
 
 # ----------------------------------------------- alpha series coefficients
@@ -281,8 +281,8 @@ def test_odd_power_of_i_check_survives_optimize():
               "import tornheim.parity as p\n"
               "def unguarded(a, b, r, s):\n"
               "    coeff = Fraction(gcd(a, b) ** (r + s), a ** s * b ** r)\n"
-              "    return p.SymbolicValue.from_factors(\n"
-              "        coeff, [(p.zeta(r + s), 1)])\n"
+              "    return p.SymbolicValue.from_terms(\n"
+              "        [(coeff, [(p.zeta(r + s), 1)])])\n"
               "p.zeta_integral_coeff = unguarded\n"
               "try:\n"
               "    p.closed_form(p.EvalRequest(1, 2, 1, 1, 3))\n"
