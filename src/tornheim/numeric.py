@@ -13,24 +13,24 @@ The reported tail bound is the first omitted term of each expansion
 (valid because the summands are completely monotone).  Results carry a
 rigorous bound or the evaluation raises; there is no silent truncation.
 
-Work that does not change between calls is done once.  The tail and
-its bound read zeta(r, M+1) and its s-derivative from `_tail_table`, one
-process-wide table keyed by (r, derivative order, M, dps) and filled on
-first use.  The head reads zeta(j, 1+qm) and -psi(1+qm) from one table
-per `lattice_sum` call, keyed by (order, exact argument 1+qm) and filled
-with one mpmath call per key; it spans every pass of the call and is
-dropped when the call returns.  Shifts whose arguments coincide (the G2
-sum's 1, 2, 3 and 3/2 share 1+24 = 1+2*12 = 1+3*8 = 1+(3/2)*16) and the
-m <= M of an escalating call's earlier passes thus cost one call each.
-Each pass converts the partial-fraction coefficients to mpf, forms each
-shift's argument once per m, and computes each distinct power of m once
-per m.
+Every Hurwitz value comes from `_hurwitz(j, x, dps)`: zeta(j, x), or
+-psi(x) at j = 1, at an exact rational x converted to mpf once, memoized
+by (j, x, derivative order, dps).  The tail's zeta(r, M+1) and
+zeta'(r0, M+1), its bound and `eval_constant`'s zeta(j, r/N) share one
+process-wide table, `_hurwitz_table`.  The head's zeta(j, 1+qm) and
+-psi(1+qm) go to a table made per `lattice_sum` call and dropped when it
+returns, since a process-wide one would keep every (j, 1+qm) the process
+ever summed; shifts whose arguments coincide (the G2 sum's 1, 2, 3 and
+3/2 share 1+24 = 1+2*12 = 1+3*8 = 1+(3/2)*16) and the m <= M of an
+escalating call's earlier passes cost one call each.  Each pass converts
+its partial-fraction coefficients to mpf once, and forms each shift's
+exact argument and each distinct power of m once per m.
 """
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from fractions import Fraction
-from math import comb, factorial, gcd, ceil, log10, perm
+from math import comb, factorial, gcd, ceil, log10, perm, prod
 
 from mpmath import mp
 
@@ -97,6 +97,23 @@ def check_values(lhs, rhs, precision: Precision = DEFAULT_PRECISION,
 # ------------------------------------------------------------ constants
 
 _const_cache: dict[tuple, object] = {}
+# zeta(j, x) or -psi(x) by (j, exact x, derivative order, dps), for the
+# tail, its bound and eval_constant; small enough to need no bound
+_hurwitz_table: dict[tuple, object] = {}
+
+
+def _hurwitz(j, x, dps, derivative=0, table=_hurwitz_table):
+    """zeta(j, x), or its s-derivative, at an exact rational x; -psi(x) at
+    j = 1, negated exactly so that psi's guard bits survive.  Memoized in
+    `table`."""
+    key = (j, x, derivative, dps)
+    v = table.get(key)
+    if v is None:
+        with mp.workdps(dps):
+            a = mp.mpf(x.numerator) / x.denominator
+            v = table[key] = (mp.zeta(j, a, derivative) if j >= 2
+                              else mp.fneg(mp.psi(0, a), exact=True))
+    return v
 
 
 def eval_constant(c: BaseConstant, precision: Precision = DEFAULT_PRECISION):
@@ -104,8 +121,9 @@ def eval_constant(c: BaseConstant, precision: Precision = DEFAULT_PRECISION):
 
     C_j(d/N), S_j(d/N) and L(j,chi3) are one periodic Hurwitz sum,
     N^-j sum_{r=1..N} w_r zeta(j, r/N) with w_r = cos(2 pi r d/N),
-    sin(2 pi r d/N) or chi3(r) (N = 3), -psi(r/N) at j = 1.  mp.psi keeps
-    guard bits, so integer weights multiply exactly: the sum rounds once.
+    sin(2 pi r d/N) or chi3(r) (N = 3), -psi(r/N) at j = 1.  `_hurwitz`
+    keeps psi's guard bits, so integer weights multiply exactly: the sum
+    rounds once.
     """
     key = (c, precision.dps)
     if key in _const_cache:
@@ -125,11 +143,9 @@ def eval_constant(c: BaseConstant, precision: Precision = DEFAULT_PRECISION):
                 N, d = c.angle.denominator, c.angle.numerator
                 trig = mp.cos if c.kind == "C" else mp.sin
                 weights = {r: trig(2 * mp.pi * r * d / N) for r in range(1, N + 1)}
-            # at j = 1 the sum is of psi = -zeta(1, .), so N^-j takes the sign
-            v = mp.fsum(mp.fmul(w, mp.zeta(j, mp.mpf(r) / N) if j >= 2
-                                else mp.psi(0, mp.mpf(r) / N),
+            v = mp.fsum(mp.fmul(w, _hurwitz(j, Fraction(r, N), precision.dps),
                                 exact=isinstance(w, int))
-                        for r, w in weights.items()) / (mp.mpf(N) ** j if j >= 2 else -N)
+                        for r, w in weights.items()) / mp.mpf(N) ** j
     _const_cache[key] = v
     return v
 
@@ -151,26 +167,21 @@ def eval_symbolic(v: SymbolicValue, precision: Precision = DEFAULT_PRECISION):
 def _partial_fraction_coeffs(shifts_betas):
     """1/prod_i (u+q_i)^{b_i} = sum gamma_{i,j}/(u+q_i)^j as {(q_i,j): gamma}.
 
-    gamma_{i,j} = T_i^{(b_i-j)}(-q_i)/(b_i-j)! with T_i the product of the
-    other factors; derivatives via the log-derivative recursion, exactly.
+    In t = u+q_i the other factors are prod_l (d_l+t)^{-b_l}, d_l = q_l-q_i,
+    and gamma_{i,b_i-k} is the t^k coefficient of the product of their
+    binomial series (d+t)^{-b} = sum_k C(b+k-1,k) (-1)^k d^{-b-k} t^k.
     """
     out = {}
-    for i, (qi, bi) in enumerate(shifts_betas):
-        others = [(ql, bl) for l, (ql, bl) in enumerate(shifts_betas) if l != i]
-        t0 = Fraction(1)
-        for ql, bl in others:
-            t0 *= (ql - qi) ** (-bl)
-        maxt = bi - 1
-        logd = [Fraction(0)] * (maxt + 1)
-        for r in range(1, maxt + 1):
-            logd[r] = -sum(Fraction(bl * (-1) ** (r - 1) * factorial(r - 1))
-                           / (ql - qi) ** r for ql, bl in others)
-        derivs = [t0]
-        for k in range(1, maxt + 1):
-            derivs.append(sum(Fraction(comb(k - 1, r)) * logd[r + 1]
-                              * derivs[k - 1 - r] for r in range(k)))
-        for t in range(bi):
-            out[(qi, bi - t)] = derivs[t] / factorial(t)
+    for qi, bi in shifts_betas:
+        series = [Fraction(1)] + [Fraction(0)] * (bi - 1)
+        for ql, bl in shifts_betas:
+            if ql != qi:
+                d = ql - qi
+                factor = [comb(bl + k - 1, k) * (-1) ** k * d ** (-bl - k)
+                          for k in range(bi)]
+                series = [sum(series[i] * factor[k - i] for i in range(k + 1))
+                          for k in range(bi)]
+        out.update(((qi, bi - k), g) for k, g in enumerate(series))
     return out
 
 
@@ -188,35 +199,14 @@ def _normalize_factors(factors):
     return merged, scale
 
 
-# zeta(r, M+1) and its first s-derivative at dps digits, keyed by
-# (r, derivative order, M, dps); about 25 entries per (M, dps), so the
-# table needs no bound
-_tail_table: dict[tuple, object] = {}
-
-
-def _tail_zeta(r, derivative, M, dps):
-    """zeta(r, M+1), or its s-derivative at derivative 1, from `_tail_table`."""
-    key = (r, derivative, M, dps)
-    v = _tail_table.get(key)
-    if v is None:
-        with mp.workdps(dps):
-            v = mp.zeta(r, M + 1, derivative)
-        _tail_table[key] = v
-    return v
-
-
 def _lattice_pass(merged, scale, dps, M, K, heads):
     """One evaluation at cutoff M; returns (value, tail_bound).  Reads and
     extends `heads`, the calling `lattice_sum`'s table of head values."""
-    A = 0
-    cn_scale = Fraction(1)
-    shifts: dict[Fraction, int] = {}
-    for (cm, cn), b in merged.items():
-        if cn == 0:  # the primitive bare-m form, cm = 1
-            A += b
-        else:
-            cn_scale *= Fraction(cn) ** (-b)
-            shifts[Fraction(cm, cn)] = shifts.get(Fraction(cm, cn), 0) + b
+    # the forms are primitive and distinct: the bare-m form is (1, 0), and
+    # every other form has its own shift cm/cn
+    A = merged.get((1, 0), 0)
+    shifts = {Fraction(cm, cn): b for (cm, cn), b in merged.items() if cn}
+    cn_scale = prod(Fraction(cn) ** -b for (_, cn), b in merged.items() if cn)
     B = sum(shifts.values())
     if B < 2:
         raise ValueError("inner sum does not converge")
@@ -268,26 +258,19 @@ def _lattice_pass(merged, scale, dps, M, K, heads):
                 c[r0 + 2 * rr] += g * bf[rr] * rise * q ** (1 - j - 2 * rr)
             omit = abs(g * bf[K + 1] * perm(j + 2 * K, 2 * K + 1)
                        * q ** (-1 - j - 2 * K))
-            bound += mpq(omit) * _tail_zeta(r0 + 2 * K + 2, 0, M, dps)
+            bound += mpq(omit) * _hurwitz(r0 + 2 * K + 2, M + 1, dps)
 
-        # zeta(j, 1+qm) or -psi(1+qm) by (order j, exact 1+qm), filled on
-        # first use; each argument 1+qm, exact and as an mpf, and each
-        # exponent of m (j - B for every term, and -A) once per m
+        # zeta(j, 1+qm) or -psi(1+qm) from `heads`; each exact argument
+        # 1+qm and each exponent of m (j - B for every term, and -A) once per m
         qs = {q for q, _, _ in terms}
         exponents = {j - B for _, j, _ in terms} | {-A}
 
         def inner_sum(m):
             power = {e: mp.power(m, e) for e in exponents}
-            arg = {q: (1 + q * m, 1 + mp.mpf(q.numerator) * m / q.denominator)
-                   for q in qs}
+            arg = {q: 1 + q * m for q in qs}
             tot = mp.mpf(0)
             for q, j, gm in terms:
-                exact_x, x = arg[q]
-                h = heads.get((j, exact_x))
-                if h is None:
-                    h = heads[(j, exact_x)] = (mp.zeta(j, x) if j >= 2
-                                               else -mp.psi(0, x))
-                tot += gm * power[j - B] * h
+                tot += gm * power[j - B] * _hurwitz(j, arg[q], dps, table=heads)
             return tot * power[-A]
 
         head = mp.fsum(inner_sum(m) for m in range(1, M + 1))
@@ -296,7 +279,7 @@ def _lattice_pass(merged, scale, dps, M, K, heads):
         for val, r, derivative in ([(log_q, r0, 0), (-mpq(log_m), r0, 1)]
                                    + [(mpq(v), r, 0) for r, v in sorted(c.items())]):
             if val:
-                tail += val * _tail_zeta(r, derivative, M, dps)
+                tail += val * _hurwitz(r, M + 1, dps, derivative)
 
         pref = mpq(scale * cn_scale)
         return (shift0 + head + tail) * pref, abs(bound * pref)
@@ -326,9 +309,10 @@ def lattice_sum(factors, precision: Precision = DEFAULT_PRECISION,
         merged = swapped
     qmin = min_shift(merged)
 
+    if cutoff is not None and cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, not {cutoff}")
     M = cutoff if cutoff is not None else max(40, int(24 / qmin) + 1)
-    # zeta(j, 1+qm) and -psi(1+qm) by (order j, exact 1+qm), for every pass
-    heads: dict[tuple, object] = {}
+    heads: dict[tuple, object] = {}  # head values, for this call only
     while True:
         value, bound = _lattice_pass(merged, scale, precision.dps, M, order,
                                      heads)

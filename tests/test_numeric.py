@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mp
 
 from tornheim.constants import (SymbolicValue, PI, SQRT3,
@@ -107,6 +108,20 @@ def test_partial_fractions_residues_sum_to_zero():
     assert sum(g for (q, j), g in gamma.items() if j == 1) == 0
 
 
+@given(st.dictionaries(st.builds(F, st.integers(0, 12), st.integers(1, 6)),
+                       st.integers(1, 5), min_size=1, max_size=4))
+def test_partial_fractions_rebuild_the_product(betas):
+    shifts = sorted(betas.items())
+    gamma = _partial_fraction_coeffs(shifts)
+    for u in (F(1), F(5, 7), F(13, 3)):
+        direct = F(1)
+        for q, b in shifts:
+            direct /= (u + q) ** b
+        assert sum(g / (u + q) ** j for (q, j), g in gamma.items()) == direct
+    if sum(betas.values()) >= 2:
+        assert sum(g for (q, j), g in gamma.items() if j == 1) == 0
+
+
 # ------------------------------------------------------------ lattice sums
 
 def test_classical_anchor_weight_three():
@@ -188,6 +203,27 @@ def test_cutoff_seed_is_escalated_until_bound_met():
     assert cutoff in doublings_of_seed and cutoff > 4
 
 
+def test_negative_cutoff_is_rejected():
+    with pytest.raises(ValueError, match="cutoff must be >= 1"):
+        lattice_sum([(1, 0, 2), (0, 1, 2), (1, 1, 1)], PREC, cutoff=-3)
+
+
+def test_zero_cutoff_is_rejected():
+    # a cutoff of 0 never doubles past the budget, so a regression hangs:
+    # the child's timeout turns that into a failure
+    script = ("import tornheim.numeric as n\n"
+              "try:\n"
+              "    n.lattice_sum([(1, 0, 2), (0, 1, 2), (1, 1, 1)], cutoff=0)\n"
+              "except ValueError as exc:\n"
+              "    print(exc)\n")
+    src = os.path.dirname(os.path.dirname(tornheim.__file__))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "cutoff must be >= 1, not 0\n"
+
+
 def test_unreachable_tolerance_raises(monkeypatch):
     monkeypatch.setattr(numeric, "_MAX_CUTOFF", 64)
     with pytest.raises(PrecisionError):
@@ -261,24 +297,57 @@ def test_verify_records_share_one_oracle_value():
     assert recs["right"].cutoff == recs["wrong"].cutoff >= 40
 
 
+@pytest.fixture
+def hurwitz_table():
+    """The shared `_hurwitz` table, emptied for the test and restored after."""
+    table = numeric._hurwitz_table
+    saved = dict(table)
+    table.clear()
+    yield table
+    table.clear()
+    table.update(saved)
+
+
+def _hurwitz_evaluations(monkeypatch, shared):
+    """(order, argument) of every mp.zeta and mp.psi call that `_hurwitz`
+    makes for the shared table (shared=True) or for a `lattice_sum` call's
+    head table, order 1 standing for psi."""
+    calls, recording = [], [False]
+    plain_hurwitz, plain_zeta, plain_psi = numeric._hurwitz, mp.zeta, mp.psi
+
+    def hurwitz(j, x, dps, derivative=0, table=numeric._hurwitz_table):
+        recording[0] = (table is numeric._hurwitz_table) == shared
+        try:
+            return plain_hurwitz(j, x, dps, derivative, table)
+        finally:
+            recording[0] = False
+
+    def zeta(s, a=1, *args, **kwargs):
+        if recording[0]:
+            calls.append((s, a))
+        return plain_zeta(s, a, *args, **kwargs)
+
+    def psi(order, x, **kwargs):
+        if recording[0]:
+            calls.append((1, x))
+        return plain_psi(order, x, **kwargs)
+
+    monkeypatch.setattr(numeric, "_hurwitz", hurwitz)
+    monkeypatch.setattr(mp, "zeta", zeta)
+    monkeypatch.setattr(mp, "psi", psi)
+    return calls
+
+
 @pytest.mark.parametrize("factors", [
     G2Request((1, 1, 1, 1, 1, 2)).factors,
     EvalRequest(2, 3, 1, 2, 2).factors,
 ], ids=["g2", "tornheim"])
-def test_tail_table_is_shared_and_exact(monkeypatch, factors):
-    monkeypatch.setattr(numeric, "_tail_table", {})
-    at_tail_point = []
-    plain_zeta = mp.zeta
-
-    def counting_zeta(s, a=1, *args, **kwargs):
-        # the tail's zeta(r, M+1) is the only call at an int point M+1
-        if type(a) is int and a == 41:
-            at_tail_point.append(s)
-        return plain_zeta(s, a, *args, **kwargs)
-
-    monkeypatch.setattr(mp, "zeta", counting_zeta)
+def test_tail_table_is_shared_and_exact(monkeypatch, hurwitz_table, factors):
+    at_tail_point = _hurwitz_evaluations(monkeypatch, shared=True)
     cold = lattice_sum(factors, PREC)
+    # the shared table's only lattice-sum values are the tail's zeta(r, M+1)
     assert cold[2] == 40 and at_tail_point
+    assert all(x == 41 for _, x in at_tail_point)
     at_tail_point.clear()
     warm = lattice_sum(factors, PREC)
     assert warm == cold
@@ -286,35 +355,21 @@ def test_tail_table_is_shared_and_exact(monkeypatch, factors):
 
     # a 60-digit call must not read the 40-digit entries: make them wrong
     strict = Precision(50, 1e-35)
-    monkeypatch.setattr(numeric, "_tail_table",
-                        {k: 2 * v for k, v in numeric._tail_table.items()})
+    for key in hurwitz_table:
+        hurwitz_table[key] *= 2
     over_wrong = lattice_sum(factors, strict)
-    monkeypatch.setattr(numeric, "_tail_table", {})
+    hurwitz_table.clear()
     assert over_wrong == lattice_sum(factors, strict)
 
 
 @pytest.fixture
 def head_calls(monkeypatch):
     """(order, argument) of every mp.zeta and mp.psi call the head makes,
-    order 1 standing for psi; the tail's calls at the int M+1 are left out."""
-    calls = []
-    plain_zeta, plain_psi = mp.zeta, mp.psi
-
-    def zeta(s, a=1, *args, **kwargs):
-        if isinstance(a, mp.mpf):
-            calls.append((s, a))
-        return plain_zeta(s, a, *args, **kwargs)
-
-    def psi(order, x, **kwargs):
-        calls.append((1, x))
-        return plain_psi(order, x, **kwargs)
-
-    monkeypatch.setattr(mp, "zeta", zeta)
-    monkeypatch.setattr(mp, "psi", psi)
-    return calls
+    order 1 standing for psi; the shared table's calls are left out."""
+    return _hurwitz_evaluations(monkeypatch, shared=False)
 
 
-def test_g2_head_evaluates_each_argument_once(head_calls):
+def test_g2_head_evaluates_each_argument_once(head_calls, hurwitz_table):
     # lattice_sum sums the request's m exactly, so m, m+n, m+2n, m+3n and
     # 2m+3n of (1,1,2,2,2,3) give the shifts 0, 1, 2, 3, 3/2 with exponents
     # 1, 2, 2, 2, 3, and the head's arguments 1+qx (x the outer variable)
@@ -325,6 +380,12 @@ def test_g2_head_evaluates_each_argument_once(head_calls):
               for j in range(1, beta + 1) for m in range(1, M + 1)}
     assert len(head_calls) == len(needed) < M * sum(shifts.values())
     assert {(j, F(int(2 * x), 2)) for j, x in head_calls} == needed
+    # head values live for one call: none is in the shared table, and the
+    # next call evaluates each again
+    assert all(x == M + 1 for _, x, _, _ in hurwitz_table)
+    head_calls.clear()
+    lattice_sum(G2Request((1, 1, 2, 2, 2, 3)).factors, PREC)
+    assert len(head_calls) == len(needed)
 
 
 def test_eval_head_calls_are_unchanged(head_calls):
@@ -355,20 +416,33 @@ def test_shift_zero_is_summed_exactly(head_calls):
         assert abs(value / (mp.zeta(2) * mp.zeta(3)) - 1) < mp.mpf("1e-38")
 
 
-def test_zero_tail_coefficients_evaluate_nothing(monkeypatch):
+def test_zero_tail_coefficients_evaluate_nothing(monkeypatch, hurwitz_table):
     # the only inner shift is 0, so every tail coefficient is zero and no
     # zeta(r, M+1) or zeta'(r, M+1) may be evaluated
-    monkeypatch.setattr(numeric, "_tail_table", {})
-    points = []
+    points = _hurwitz_evaluations(monkeypatch, shared=True)
+    lattice_sum([(1, 0, 3), (0, 1, 2)], PREC)
+    assert points == [] and hurwitz_table == {}
+
+
+def test_constants_share_hurwitz_values(monkeypatch, hurwitz_table):
+    # C_j and S_j at the canonical angles 1/4, 1/8 and 3/8 read
+    # zeta(j, r/8), r = 1..8: one mp.zeta call per distinct reduced r/N
+    monkeypatch.setattr(numeric, "_const_cache", {})
+    calls = []
     plain_zeta = mp.zeta
 
     def zeta(s, a=1, *args, **kwargs):
-        points.append(a)
+        calls.append((s, a))
         return plain_zeta(s, a, *args, **kwargs)
 
     monkeypatch.setattr(mp, "zeta", zeta)
-    _, _, M = lattice_sum([(1, 0, 3), (0, 1, 2)], PREC)
-    assert points and M + 1 not in points
+    for j in (2, 3):
+        for q in (F(1, 4), F(1, 8), F(3, 8)):
+            eval_constant(clausen_c(j, q), PREC)
+            eval_constant(clausen_s(j, q), PREC)
+    assert len(calls) == 16
+    assert {(j, F(int(8 * x), 8)) for j, x in calls} == {
+        (j, F(r, 8)) for j in (2, 3) for r in range(1, 9)}
 
 
 def test_eval_g2_series_matches_brute_force():
