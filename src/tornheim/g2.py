@@ -76,11 +76,7 @@ class G2ClosedForm(namedtuple("G2ClosedForm", "request clausen dirichlet "
 
     def reduction_list(self) -> list[tuple[Fraction, int, int, int, int, int]]:
         """[(coeff, a, b, e1, e2, e3)] with the term coeff * zeta_{a,b}(e)."""
-        out = []
-        for t in self.reduction:
-            a, b, (e1, e2, e3) = _term_parameters(t)
-            out.append((t.coeff, a, b, e1, e2, e3))
-        return out
+        return [(t.coeff, *pfd.tornheim_parameters(t)) for t in self.reduction]
 
     def to_json_dict(self) -> dict:
         return {
@@ -101,17 +97,6 @@ class G2ClosedForm(namedtuple("G2ClosedForm", "request clausen dirichlet "
         }
 
 
-def _term_parameters(t: pfd.TermProduct):
-    e1 = t.exponent(pfd.FORM_M)
-    e2 = t.exponent(pfd.FORM_N)
-    others = [(f, e) for f, e in t.exponents
-              if f not in (pfd.FORM_M, pfd.FORM_N)]
-    if len(others) != 1 or e1 < 1 or e2 < 1:
-        raise ValueError(f"term {t} is not in double-series shape")
-    form, e3 = others[0]
-    return form.cm, form.cn, (e1, e2, e3)
-
-
 def request_term_sum(req: G2Request) -> pfd.TermSum:
     """The defining six-form product as a TermSum input for the reducer."""
     return pfd.TermSum.make([pfd.TermProduct.make(
@@ -129,8 +114,7 @@ def reduced_closed_form(reduced: pfd.TermSum) -> SymbolicValue:
     term's closed form read from `_closed_forms`."""
     clausen = SymbolicValue.zero()
     for t in reduced:
-        a, b, (e1, e2, e3) = _term_parameters(t)
-        req = EvalRequest(a, b, e1, e2, e3)
+        req = EvalRequest(*pfd.tornheim_parameters(t))
         value = _closed_forms.get(req)
         if value is None:
             value = _closed_forms[req] = closed_form(req)

@@ -142,7 +142,11 @@ def eval_constant(c: BaseConstant, precision: Precision = DEFAULT_PRECISION):
             else:
                 N, d = c.angle.denominator, c.angle.numerator
                 trig = mp.cos if c.kind == "C" else mp.sin
-                weights = {r: trig(2 * mp.pi * r * d / N) for r in range(1, N + 1)}
+                # the cosine is exactly 0 where 4rd/N is an odd integer, the
+                # sine where it is an even one: no Hurwitz value is read there
+                zero = N if c.kind == "C" else 0
+                weights = {r: trig(2 * mp.pi * r * d / N) for r in range(1, N + 1)
+                           if 4 * r * d % (2 * N) != zero}
             v = mp.fsum(mp.fmul(w, _hurwitz(j, Fraction(r, N), precision.dps),
                                 exact=isinstance(w, int))
                         for r, w in weights.items()) / mp.mpf(N) ** j
@@ -311,6 +315,8 @@ def lattice_sum(factors, precision: Precision = DEFAULT_PRECISION,
 
     if cutoff is not None and cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, not {cutoff}")
+    if order < 0:
+        raise ValueError(f"order must be >= 0, not {order}")
     M = cutoff if cutoff is not None else max(40, int(24 / qmin) + 1)
     heads: dict[tuple, object] = {}  # head values, for this call only
     while True:

@@ -10,8 +10,8 @@ forms u, w in a term and an eliminator v:
 applied to u^-r w^-s until one of u, w disappears from each branch; the
 r + s resulting terms have binomial coefficients and are written directly
 (split_pair).  Every step can be verified as an exact polynomial identity
-in Q[m,n] (verify_step), and the reducer drives arbitrary products over
-the six-form set {m, n, m+n, m+2n, m+3n, 2m+3n} down to the shape
+in Q[m,n] (verify_step), and the reducer drives any product of forms
+with a power of m and a power of n down to the shape
 m^-e1 n^-e2 (am+bn)^-e3 whose lattice sum is the double series
 zeta_{a,b}(e1,e2,e3), merging equal terms before each level of splits.
 """
@@ -217,27 +217,37 @@ def trace_to_json(trace) -> list:
     return out
 
 
-def _targets(t: TermProduct) -> list[LinearForm]:
+def _nonbasis(t: TermProduct) -> list[LinearForm]:
     return [f for f, _ in t.exponents if f not in (FORM_M, FORM_N)]
 
 
+def tornheim_parameters(t: TermProduct) -> tuple[int, int, int, int, int]:
+    """(a, b, e1, e2, e3) of a term m^-e1 n^-e2 (am+bn)^-e3, whose lattice
+    sum is zeta_{a,b}(e1,e2,e3); ValueError for any other shape."""
+    nonbasis = _nonbasis(t)
+    e1, e2 = t.exponent(FORM_M), t.exponent(FORM_N)
+    if len(nonbasis) != 1 or e1 < 1 or e2 < 1:
+        raise ValueError(f"term {t} is not in double-series shape")
+    (form,) = nonbasis
+    return form.cm, form.cn, e1, e2, t.exponent(form)
+
+
 def reduce_to_tornheim(ts: TermSum, trace: list | None = None) -> TermSum:
-    """Rewrite every term down to support {m, n, L} with L a target form.
+    """Rewrite every term down to the shape m^-e1 n^-e2 (am+bn)^-e3.
 
     Deterministic strategy, one level at a time: equal terms are merged,
     then in every term the two smallest distinct non-basis forms are
-    eliminated through m with derive_relation.  A split trades one target
-    form for m, so at most len(G2_TARGETS) levels are needed; terms still
-    left after the last level mean the relations do not shrink the
-    support.  Each step is verified exactly.
+    eliminated through m with derive_relation.  A split trades one
+    non-basis form for m, so one level per distinct non-basis form of the
+    input suffices; a term with two of them left after the last level
+    means the relations do not shrink the support.  Each step is verified
+    exactly, and each result term by tornheim_parameters.
     """
-    if any(f not in G2_FORMS for t in ts for f in t.support):
-        raise ValueError("unsupported form system")
     done, level = [], list(ts)
-    for _ in range(len(G2_TARGETS)):
+    for _ in range(len({f for t in ts for f in _nonbasis(t)})):
         pieces = []
         for t in TermSum.make(level):
-            nonbasis = _targets(t)
+            nonbasis = _nonbasis(t)
             if len(nonbasis) <= 1:
                 done.append(t)
                 continue
@@ -250,13 +260,9 @@ def reduce_to_tornheim(ts: TermSum, trace: list | None = None) -> TermSum:
                 trace.append(RewriteStep(t, u, w, rel, produced))
             pieces.extend(produced)
         level = pieces
-    if level:
+    if any(len(_nonbasis(t)) > 1 for t in level):
         raise RuntimeError("rewrite exceeded its step budget")
-    result = TermSum.make(done)
+    result = TermSum.make(done + level)
     for t in result:
-        nonbasis = _targets(t)
-        if len(nonbasis) != 1 or any(t.exponent(f) < 1 for f in (FORM_M, FORM_N)):
-            raise ValueError(f"term {t} did not reduce to basis-pair + target shape")
-        if nonbasis[0] not in G2_TARGETS:
-            raise ValueError(f"terminal form {nonbasis[0]} is not a target")
+        tornheim_parameters(t)
     return result

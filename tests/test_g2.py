@@ -15,7 +15,7 @@ from tornheim.g2 import (G2Request, VerificationError, evaluate_g2,
                          reduced_closed_form, request_term_sum)
 from tornheim.numeric import Precision, eval_symbolic
 from tornheim.parity import EvalRequest, closed_form
-from tornheim.pfd import reduce_to_tornheim, verify_step
+from tornheim.pfd import reduce_to_tornheim, tornheim_parameters, verify_step
 
 G2_FORMS = Path(__file__).parent / "data" / "g2_forms.json"
 
@@ -115,11 +115,7 @@ def test_json_round_trip():
 
 
 def _reduced_terms(reduced):
-    terms = set()
-    for t in reduced:
-        a, b, e = g2._term_parameters(t)
-        terms.add(EvalRequest(a, b, *e))
-    return terms
+    return {EvalRequest(*tornheim_parameters(t)) for t in reduced}
 
 
 def test_closed_form_memo_holds_each_distinct_term_once(monkeypatch):

@@ -208,6 +208,23 @@ def test_negative_cutoff_is_rejected():
         lattice_sum([(1, 0, 2), (0, 1, 2), (1, 1, 1)], PREC, cutoff=-3)
 
 
+@pytest.mark.parametrize("order", [-1, -5])
+def test_negative_order_is_rejected(order):
+    with pytest.raises(ValueError, match=f"order must be >= 0, not {order}"):
+        lattice_sum([(1, 0, 2), (0, 1, 2), (1, 1, 1)], order=order)
+
+
+def test_order_zero_bounds_its_one_term_tail():
+    # the tail keeps only zeta(r0, M+1) and zeta(r0+1, M+1); the first
+    # Bernoulli term is the omitted one, and it bounds the true error
+    factors = [(1, 0, 2), (0, 1, 2), (1, 1, 1)]
+    value, bound, cutoff = lattice_sum(factors, order=0)
+    exact = lattice_sum(factors, Precision(digits=50, tolerance=1e-40))[0]
+    assert cutoff == 80
+    with mp.workdps(50):
+        assert abs(value - exact) <= bound <= mp.mpf("1e-10") * abs(exact)
+
+
 def test_zero_cutoff_is_rejected():
     # a cutoff of 0 never doubles past the budget, so a regression hangs:
     # the child's timeout turns that into a failure
@@ -443,6 +460,25 @@ def test_constants_share_hurwitz_values(monkeypatch, hurwitz_table):
     assert len(calls) == 16
     assert {(j, F(int(8 * x), 8)) for j, x in calls} == {
         (j, F(r, 8)) for j in (2, 3) for r in range(1, 9)}
+
+
+def test_zero_periodic_weights_read_no_hurwitz_value(monkeypatch, hurwitz_table):
+    # sin(2 pi r/4) is 0 at r = 2, 4 and cos(2 pi r/8) at r = 2, 6: S_3(1/4)
+    # reads zeta(3, 1/4) and zeta(3, 3/4) only, C_3(1/8) six values
+    monkeypatch.setattr(numeric, "_const_cache", {})
+    calls = []
+    plain_zeta = mp.zeta
+
+    def zeta(s, a=1, *args, **kwargs):
+        calls.append((s, F(int(8 * a), 8)))
+        return plain_zeta(s, a, *args, **kwargs)
+
+    monkeypatch.setattr(mp, "zeta", zeta)
+    eval_constant(clausen_s(3, F(1, 4)), PREC)
+    assert calls == [(3, F(1, 4)), (3, F(3, 4))]
+    calls.clear()
+    eval_constant(clausen_c(3, F(1, 8)), PREC)
+    assert calls == [(3, F(r, 8)) for r in (1, 3, 4, 5, 7, 8)]
 
 
 def test_eval_g2_series_matches_brute_force():

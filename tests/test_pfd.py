@@ -7,10 +7,13 @@ from fractions import Fraction
 import pytest
 
 from tornheim import pfd
+from tornheim.constants import PI, SymbolicValue, zeta
+from tornheim.numeric import Precision, verify
+from tornheim.parity import EvalRequest, closed_form
 from tornheim.pfd import (FORM_M, FORM_N, G2_FORMS, G2_TARGETS, LinearForm,
                           Relation, TermProduct, TermSum, derive_relation,
                           reduce_to_tornheim, relation_scale, split_pair,
-                          trace_to_json, verify_step)
+                          tornheim_parameters, trace_to_json, verify_step)
 
 F = Fraction
 U, W = LinearForm(1, 1), LinearForm(1, 2)
@@ -183,9 +186,36 @@ def test_reduce_splits_each_exponent_tuple_once(ks):
     assert trace and len(set(split)) == len(split)
 
 
-def test_reduce_rejects_foreign_forms():
-    ts = TermSum.make([tp(1, (FORM_M, 1), (FORM_N, 1), (LinearForm(5, 7), 2))])
-    with pytest.raises(ValueError, match="unsupported form system"):
+M_N = LinearForm(2, 1)      # 2m+n, outside the G2 forms
+
+
+@pytest.mark.parametrize("factors, want", [
+    ([(FORM_M, 1), (FORM_N, 1), (U, 1), (M_N, 2)], SymbolicValue.from_terms(
+        [(F(35, 8), [(zeta(5), 1)]), (F(-3, 8), [(PI, 2), (zeta(3), 1)])])),
+    ([(FORM_M, 1), (FORM_N, 2), (LinearForm(3, 2), 1), (LinearForm(1, 4), 1)],
+     None),
+    ([(FORM_M, 2), (FORM_N, 1), (U, 1), (W, 1), (M_N, 1), (LinearForm(3, 5), 1)],
+     None),
+], ids=["m.n.(m+n).(2m+n)^2", "m.n^2.(3m+2n).(m+4n)",
+        "m^2.n.(m+n)(m+2n)(2m+n)(3m+5n)"])
+def test_reduce_takes_any_product_of_forms(factors, want):
+    # products outside the G2 forms reduce exactly, and the closed forms of
+    # the reduced terms sum to the oracle's value of the product
+    ts = TermSum.make([tp(1, *factors)])
+    out = reduce_to_tornheim(ts)
+    assert verify_step(ts, out)
+    value = SymbolicValue.zero()
+    for t in out:
+        value = value + closed_form(EvalRequest(*tornheim_parameters(t))) * t.coeff
+    check = verify({"sum": value}, [(f.cm, f.cn, e) for f, e in factors],
+                   Precision(50, 1e-35))["sum"]
+    assert check.passed, check
+    assert want is None or value == want
+
+
+def test_reduce_needs_a_power_of_n():
+    ts = TermSum.make([tp(1, (FORM_M, 1), (U, 1), (M_N, 1))])
+    with pytest.raises(ValueError, match="not in double-series shape"):
         reduce_to_tornheim(ts)
 
 
