@@ -198,14 +198,11 @@ def term2_coeff(req: EvalRequest) -> SymbolicValue:
                     comb(big_q - 1, j) * b ** j * (-1) ** (big_q - 1 - j))
 
     # B_q(c/b) / q! for every q below, one list per c built from one list
-    # of powers of c/b; c = b gives the B_q(1) of the zeta block, the
-    # Bernoulli numbers at one
+    # of powers of c/b; c = b gives the B_q(1) of the zeta block
     top = max((big_q for _, big_q in lead), default=1) - 1
     bern = {c: [v / factorial(q)
                 for q, v in enumerate(bernoulli_polys(top, Fraction(c, b)))]
-            for c in {c for c, _ in lead}}
-    bern[b] = [bernoulli_number(q, "at-one") / factorial(q)
-               for q in range(top + 1)]
+            for c in {c for c, _ in lead} | {b}}
 
     # with big_q = s + q and e = k2+k3-s, the term is (-1)^s 2^e pi^e/(a^s q!) times
     #   -i S_{p+s+1}(ac/b) B_q(c/b)                   for odd p+s,

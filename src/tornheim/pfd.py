@@ -10,10 +10,11 @@ forms u, w in a term and an eliminator v:
 applied to u^-r w^-s until one of u, w disappears from each branch; the
 r + s resulting terms have binomial coefficients and are written directly
 (split_pair).  Every step can be verified as an exact polynomial identity
-in Q[m,n] (verify_step), and the reducer drives any product of forms
-with a power of m and a power of n down to the shape
-m^-e1 n^-e2 (am+bn)^-e3 whose lattice sum is the double series
-zeta_{a,b}(e1,e2,e3), merging equal terms before each level of splits.
+in Q[m,n] (verify_step), and the reducer drives a product of forms down
+to the shape m^-e1 n^-e2 (am+bn)^-e3 whose lattice sum is the double
+series zeta_{a,b}(e1,e2,e3), merging equal terms before each level of
+splits.  The product needs a power of n and a form other than m and n;
+a power of m too, unless it has two such forms (each split adds one).
 """
 from __future__ import annotations
 

@@ -298,11 +298,14 @@ def test_closed_form_insensitive_to_constant_block_convention(monkeypatch):
     import tornheim.parity as parity
     from tornheim.arith import bernoulli_polys
 
+    flips = []
+
     def flipped(k, x):
         # the constant block reads B_q(1) from bernoulli_polys at x = 1
         values = bernoulli_polys(k, x)
         if x == 1 and k >= 1:
             values[1] = bernoulli_number(1, "at-zero")
+            flips.append(k)
         return values
 
     cases = [(1, 2, 1, 1, 3), (1, 3, 2, 2, 3), (2, 3, 1, 2, 2),
@@ -311,3 +314,5 @@ def test_closed_form_insensitive_to_constant_block_convention(monkeypatch):
     monkeypatch.setattr(parity, "bernoulli_polys", flipped)
     for c, want in zip(cases, expected):
         assert closed_form(EvalRequest(*c)) == want
+    # the flip must be read, or this test checks nothing
+    assert len(flips) >= len(cases)
