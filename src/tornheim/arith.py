@@ -51,14 +51,7 @@ def bernoulli_number(k: int, convention: str) -> Fraction:
 
 def bernoulli_poly(k: int, x: Rational) -> Fraction:
     """Bernoulli polynomial B_k(x) = sum_j C(k,j) B_j(0) x^(k-j)."""
-    if k < 0:
-        raise ValueError("Bernoulli index must be >= 0")
-    x = Fraction(x)
-    if k not in _bern_cache:
-        _extend_bernoulli(k)
-    return sum(
-        Fraction(comb(k, j)) * _bern_cache[j] * x ** (k - j) for j in range(k + 1)
-    )
+    return bernoulli_polys(k, x)[k]
 
 
 def bernoulli_polys(k: int, x: Rational) -> list[Fraction]:

@@ -10,6 +10,7 @@ Exit codes: 0 verified/ok, 1 internal error, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,6 +36,7 @@ def _add_numeric_flags(p: argparse.ArgumentParser,
     p.add_argument("--format", choices=formats, default="text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tornheim",
@@ -82,70 +84,79 @@ def _precision(parser, args) -> Precision:
             digits = int(env)
         except ValueError:
             parser.error(f"TORNHEIM_PREC must be an integer, got {env!r}")
+    return _usage_checked(parser, Precision, digits, args.tol)
+
+
+def _usage_checked(parser, make, *params):
+    """make(*params), its ValueError reported as a usage error."""
     try:
-        return Precision(digits=digits, tolerance=args.tol)
+        return make(*params)
     except ValueError as exc:
         parser.error(str(exc))
 
 
-def _record_head(command: str) -> dict:
-    return {"command": command, "version": __version__,
-            "ruleset_hash": RULESET_HASH}
+def _emit(command: str, fields: dict):
+    print(json.dumps({"command": command, "version": __version__,
+                      "ruleset_hash": RULESET_HASH, **fields}, sort_keys=True))
 
 
-def _emit(record: dict):
-    print(json.dumps(record, sort_keys=True))
-
-
-def cmd_eval(parser, args) -> int:
-    try:
-        req = EvalRequest(args.a, args.b, *args.k)
-    except ValueError as exc:
-        parser.error(str(exc))
-    prec = _precision(parser, args)
+def _evaluate(parser, req, prec: Precision, check=True, basis="clausen",
+              trace=False):
+    """(result, check records by name) of one request: a G2Request's
+    G2ClosedForm, always checked, or an EvalRequest's closed form in
+    `basis`, checked if `check`."""
+    if isinstance(req, G2Request):
+        try:
+            result = evaluate_g2(req, prec, collect_trace=trace)
+        except VerificationError as exc:  # still emit the failed record
+            print(f"verification failed: {exc}", file=sys.stderr)
+            result = exc.result
+        return result, result.checks
     value = closed_form(req)
-    if args.basis == "dirichlet":
+    if basis == "dirichlet":
         outside = g2_field_error(value)
         if outside:
             parser.error(outside)
         value = to_dirichlet_basis(value, req.weight)
-    check = None
-    if args.verify:
-        check = verify({"closed form": value}, req.factors, prec)["closed form"]
+    checks = verify({"closed form": value}, req.factors, prec) if check else {}
+    return value, checks
+
+
+def _verdict(checks: dict, show: bool) -> int:
+    """Exit code of a request's checks, 3 if one failed; if `show`, prints
+    the verdict of all and the residual of the last (the basis shown last)."""
+    code = 0 if all(c.passed for c in checks.values()) else 3
+    if show and checks:
+        *_, last = checks.values()
+        print(f"# {'FAILED' if code else 'verified'}: relative residual "
+              f"{last.rel_residual} at {last.digits} digits")
+    return code
+
+
+def cmd_eval(parser, args) -> int:
+    req = _usage_checked(parser, EvalRequest, args.a, args.b, *args.k)
+    prec = _precision(parser, args)
+    value, checks = _evaluate(parser, req, prec, args.verify, args.basis)
     if args.format == "latex":
         print(to_latex(value))
     elif args.format == "text":
         print(to_text(value))
-        if check is not None:
-            status = "verified" if check.passed else "FAILED"
-            print(f"# {status}: relative residual {check.rel_residual} "
-                  f"at {prec.digits} digits")
     else:
-        record = _record_head("eval")
-        record.update({
+        _emit("eval", {
             "request": {"a": args.a, "b": args.b, "k": list(args.k)},
             "basis": args.basis,
             "result": to_json_dict(value),
             "text": to_text(value),
             "latex": to_latex(value),
-            "check": check.as_json_dict() if check else None,
+            "check": checks["closed form"].as_json_dict() if checks else None,
         })
-        _emit(record)
-    return 3 if (check is not None and not check.passed) else 0
+    return _verdict(checks, show=args.format == "text")
 
 
 def cmd_g2(parser, args) -> int:
-    try:
-        req = G2Request(tuple(args.k))
-    except ValueError as exc:
-        parser.error(str(exc))
+    req = _usage_checked(parser, G2Request, tuple(args.k))
     prec = _precision(parser, args)
-    try:
-        result = evaluate_g2(req, prec, collect_trace=args.show_reduction)
-    except VerificationError as exc:  # still emit the failed record
-        print(f"verification failed: {exc}", file=sys.stderr)
-        result = exc.result
-    passed = all(c.passed for c in result.checks.values())
+    result, checks = _evaluate(parser, req, prec, trace=args.show_reduction)
     if args.format == "latex":
         print(to_latex(result.clausen))
         print(to_latex(result.dirichlet))
@@ -156,22 +167,12 @@ def cmd_g2(parser, args) -> int:
             print("reduction:")
             for c, a, b, e1, e2, e3 in result.reduction_list():
                 print(f"  {c} zeta_{{{a},{b}}}({e1},{e2},{e3})")
-        rec = result.checks["dirichlet"]
-        print(f"# {'verified' if passed else 'FAILED'}: relative residual "
-              f"{rec.rel_residual} at {prec.digits} digits")
     else:
-        record = _record_head("g2")
-        record.update(result.to_json_dict())
+        record = result.to_json_dict()
         if args.show_reduction:
             record["trace"] = pfd.trace_to_json(result.trace)
-        _emit(record)
-    return 0 if passed else 3
-
-
-def _compositions(weight: int):
-    for k1 in range(1, weight - 1):
-        for k2 in range(1, weight - k1):
-            yield (k1, k2, weight - k1 - k2)
+        _emit("g2", record)
+    return _verdict(checks, show=args.format == "text")
 
 
 def cmd_table(parser, args) -> int:
@@ -189,32 +190,30 @@ def cmd_table(parser, args) -> int:
             parser.error(f"bad pair {spec!r}; parameters must be >= 1")
         pairs.append((a, b))
     prec = _precision(parser, args)
-    failures = errors = 0
-    for a, b in pairs:
-        for ks in _compositions(args.weight):
-            record = _record_head("table")
-            record["request"] = {"a": a, "b": b, "k": list(ks)}
-            try:
-                req = EvalRequest(a, b, *ks)
-                value = closed_form(req)
-                check = verify({"closed form": value}, req.factors,
-                               prec)["closed form"]
-                record["result"] = to_json_dict(value)
-                record["text"] = to_text(value)
-                record["check"] = check.as_json_dict()
-                record["passed"] = check.passed
-                if not check.passed:
-                    failures += 1
-            except Exception as exc:  # keep streaming; report per record
-                record["error"] = str(exc)
-                record["passed"] = False
-                errors += 1
-            if args.format == "text":
-                mark = "ok " if record["passed"] else "FAIL"
-                print(f"{mark} a={a} b={b} k={ks}: {record.get('text', record.get('error'))}")
-            else:
-                _emit(record)
-    return 1 if errors else 3 if failures else 0
+    w = args.weight
+    rows = ((a, b, (k1, k2, w - k1 - k2)) for a, b in pairs
+            for k1 in range(1, w - 1) for k2 in range(1, w - k1))
+    worst = errors = 0
+    for a, b, ks in rows:
+        record = {"request": {"a": a, "b": b, "k": list(ks)}}
+        try:
+            value, checks = _evaluate(parser, EvalRequest(a, b, *ks), prec)
+            code = _verdict(checks, show=False)
+            record["result"] = to_json_dict(value)
+            record["text"] = to_text(value)
+            record["check"] = checks["closed form"].as_json_dict()
+            record["passed"] = code == 0
+            worst = max(worst, code)
+        except Exception as exc:  # keep streaming; report per record
+            record["error"] = str(exc)
+            record["passed"] = False
+            errors += 1
+        if args.format == "text":
+            mark = "ok " if record["passed"] else "FAIL"
+            print(f"{mark} a={a} b={b} k={ks}: {record.get('text', record.get('error'))}")
+        else:
+            _emit("table", record)
+    return 1 if errors else worst
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,5 @@
 """Command line contract: output formats, exit codes, JSON schema."""
+import gc
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import tornheim
 from tornheim import __version__
-from tornheim import cli, constants, numeric, pfd
+from tornheim import cli, constants, g2, numeric, pfd
 from tornheim.constants import from_json_dict
 from tornheim.parity import EvalRequest, closed_form
 
@@ -383,3 +384,34 @@ def test_json_requests_load_no_hashlib_or_dataclasses():
 
 def test_missing_subcommand_is_usage_error():
     assert run_cli()[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--a", "1", "--b", "2", "--k", "1", "1", "3", "--verify",
+     "--format", "json"),
+    ("g2", "--k", "2", "1", "1", "1", "1", "1", "--show-reduction",
+     "--format", "json"),
+    ("table", "--weight", "5", "--pairs", "1,1", "--format", "json"),
+], ids=lambda argv: argv[0])
+def test_requests_leave_no_cyclic_garbage(argv):
+    # the parser is built once per process, not once per request
+    assert run_cli(*argv)[0] == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            assert run_cli(*argv)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_eval_and_table_leave_the_closed_form_memo_alone():
+    # the memo holds reduced terms of G2 requests only; (1,4) and (2,5)
+    # are no G2 pairs, so no earlier request put their terms there
+    memo = dict(g2._closed_forms)
+    assert run_cli("eval", "--a", "1", "--b", "4", "--k", "1", "1", "3",
+                   "--verify")[0] == 0
+    assert run_cli("table", "--weight", "5", "--pairs", "2,5",
+                   "--format", "json")[0] == 0
+    assert g2._closed_forms == memo
