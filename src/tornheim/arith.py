@@ -1,8 +1,9 @@
 """Exact rational arithmetic helpers: Bernoulli numbers and Bernoulli
 polynomials (one at a time, or B_0..B_k at one point).
 
-Two Bernoulli conventions exist in the literature and both are needed
-here, so every call names one explicitly:
+Two Bernoulli conventions exist in the literature, so every call names
+one explicitly; the package reads at-zero numbers only, and B_q(1) comes
+from `bernoulli_polys`:
 
   at-zero :  B_k = B_k(0),  B_1 = -1/2   (generating function t/(e^t-1))
   at-one  :  B_k = B_k(1),  B_1 = +1/2   (generating function t*e^t/(e^t-1))

@@ -16,8 +16,7 @@ import os
 import sys
 
 from . import __version__, pfd
-from .constants import (g2_field_error, to_dirichlet_basis, to_json_dict,
-                        to_latex, to_text)
+from .constants import to_dirichlet_basis, to_json_dict, to_latex, to_text
 from .g2 import G2Request, VerificationError, evaluate_g2
 from .numeric import DEFAULT_PRECISION, Precision, verify
 from .parity import EvalRequest, closed_form
@@ -114,10 +113,7 @@ def _evaluate(parser, req, prec: Precision, check=True, basis="clausen",
         return result, result.checks
     value = closed_form(req)
     if basis == "dirichlet":
-        outside = g2_field_error(value)
-        if outside:
-            parser.error(outside)
-        value = to_dirichlet_basis(value, req.weight)
+        value = _usage_checked(parser, to_dirichlet_basis, value, req.weight)
     checks = verify({"closed form": value}, req.factors, prec) if check else {}
     return value, checks
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, gcd, ceil, log10, perm, prod
 
 from mpmath import mp
@@ -79,12 +80,12 @@ class NumericCheckRecord(namedtuple(
 def check_values(lhs, rhs, precision: Precision = DEFAULT_PRECISION,
                  label: str = "", cutoff: int | None = None,
                  tail_bound: str | None = None) -> NumericCheckRecord:
-    """Compare two reals: residual relative wherever |rhs| >= 1e-30, else absolute."""
+    """Compare two reals: the residual is relative to max(|rhs|, 1e-30), the
+    scale that lattice_sum's tail bound meets."""
     with mp.workdps(precision.dps):
         lhs, rhs = mp.mpf(lhs), mp.mpf(rhs)
         diff = abs(lhs - rhs)
-        scale = abs(rhs)
-        rel = diff / scale if scale >= _ABS_FLOOR else diff
+        rel = diff / max(abs(rhs), _ABS_FLOOR)
         passed = rel <= mp.mpf(precision.tolerance)
         return NumericCheckRecord(
             label=label, lhs=mp.nstr(lhs, precision.digits),
@@ -96,7 +97,6 @@ def check_values(lhs, rhs, precision: Precision = DEFAULT_PRECISION,
 
 # ------------------------------------------------------------ constants
 
-_const_cache: dict[tuple, object] = {}
 # zeta(j, x) or -psi(x) by (j, exact x, derivative order, dps), for the
 # tail, its bound and eval_constant; small enough to need no bound
 _hurwitz_table: dict[tuple, object] = {}
@@ -116,8 +116,9 @@ def _hurwitz(j, x, dps, derivative=0, table=_hurwitz_table):
     return v
 
 
+@cache
 def eval_constant(c: BaseConstant, precision: Precision = DEFAULT_PRECISION):
-    """One base constant as a real at working precision.
+    """One base constant as a real at working precision, memoized.
 
     C_j(d/N), S_j(d/N) and L(j,chi3) are one periodic Hurwitz sum,
     N^-j sum_{r=1..N} w_r zeta(j, r/N) with w_r = cos(2 pi r d/N),
@@ -125,9 +126,6 @@ def eval_constant(c: BaseConstant, precision: Precision = DEFAULT_PRECISION):
     keeps psi's guard bits, so integer weights multiply exactly: the sum
     rounds once.
     """
-    key = (c, precision.dps)
-    if key in _const_cache:
-        return _const_cache[key]
     with mp.workdps(precision.dps):
         if c.kind == "pi":
             v = +mp.pi
@@ -150,7 +148,6 @@ def eval_constant(c: BaseConstant, precision: Precision = DEFAULT_PRECISION):
             v = mp.fsum(mp.fmul(w, _hurwitz(j, Fraction(r, N), precision.dps),
                                 exact=isinstance(w, int))
                         for r, w in weights.items()) / mp.mpf(N) ** j
-    _const_cache[key] = v
     return v
 
 

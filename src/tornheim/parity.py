@@ -22,8 +22,8 @@ and term2 collects the shift corrections
 for c = 1..b-1, whose constants are Clausen values at angles a*c/b paired
 with Bernoulli polynomial values B_q(c/b).  Both tables are read off as
 finite Cauchy double sums over Bernoulli numbers, one per coefficient.
-The process keeps one table per (b, c) and adds entries as larger
-truncations are asked for.
+Each coefficient, per (b, c, r, s), is computed once per process and
+shared by every truncation that holds it; a caller gets a fresh dict.
 
 Each block is real by construction.  With k = k1+k2+k3 odd, term1
 writes i^e zeta(k1+s) with e = k-(k1+s), nonzero only for odd k1+s, so e
@@ -37,7 +37,6 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd
-from types import MappingProxyType
 
 from .arith import bernoulli_number, bernoulli_polys
 from .constants import PI, SymbolicValue, mono_weight, reduce_angle, zeta
@@ -68,72 +67,50 @@ class EvalRequest(namedtuple("EvalRequest", "a b k1 k2 k3")):
         return EvalRequest(self.b, self.a, self.k2, self.k1, self.k3)
 
 
-def _coeff_table(front: list, b: int, rows: int, cols: int,
-                 table: dict | None = None) -> dict:
-    """Coefficients of t1^r t2^s, r <= rows, s <= cols, in
-    f(t1) beta0(-t2) (e^{bt1-t2}-1)/(bt1-t2), f(t1) = sum front[p] t1^p:
-    the Cauchy double sum over p1 <= r, p2 <= s of
-    f_p1 B_p2(0)/p2! (-1)^s b^(r-p1) / ((r-p1)! (s-p2)! (r-p1+s-p2+1)).
-    Entries already in `table` are kept and only the missing ones added."""
-    table = {} if table is None else table
-    bern = _front(0, cols)
-
-    # the sum over p2 depends on q1 = r - p1 and s only
-    @cache
-    def inner(q1, s):
-        return Fraction(b ** q1, factorial(q1)) * sum(
-            bern[p2] / (factorial(s - p2) * (q1 + s - p2 + 1))
-            for p2 in range(s + 1) if bern[p2])
-
-    # row by row: an entry is added only after the rest of its rectangle,
-    # so the test in _table stays exact even after a fill stopped midway
-    for r in range(rows + 1):
-        for s in range(cols + 1):
-            if (r, s) not in table:
-                table[(r, s)] = (-1) ** s * sum(
-                    (front[p1] * inner(r - p1, s) for p1 in range(r + 1)
-                     if front[p1]), Fraction(0))
-    return table
-
-
-def _front(c: int, rows: int) -> list:
-    """f(t1) up to t1^rows: beta0(t1) for c = 0, else -t1 e^{-c t1}."""
+@cache
+def _front(c: int, p: int) -> Fraction:
+    """The t1^p coefficient of f(t1): beta0(t1) for c = 0, else -t1 e^{-c t1}."""
     if c == 0:
-        return [bernoulli_number(p, "at-zero") / factorial(p)
-                for p in range(rows + 1)]
-    return [Fraction(0)] + [-Fraction((-c) ** (p - 1), factorial(p - 1))
-                            for p in range(1, rows + 1)]
+        return bernoulli_number(p, "at-zero") / factorial(p)
+    return -Fraction((-c) ** (p - 1), factorial(p - 1)) if p else Fraction(0)
 
 
-# one table per (b, c), c = 0 for alpha_b, kept for the process: the
-# union of the rectangles r <= rows, s <= cols requested so far.  A
-# larger truncation contains every smaller one, so a request only adds
-# the entries it lacks, and holding (rows, cols) means holding its
-# whole rectangle.
-_TABLES: dict[tuple[int, int], dict] = {}
+@cache
+def _inner(b: int, q1: int, s: int) -> Fraction:
+    """The sum over p2 <= s of B_p2(0)/p2! b^q1 / (q1! (s-p2)! (q1+s-p2+1)):
+    the inner sum of _coeff, which depends on r and p1 only through q1 = r-p1."""
+    return Fraction(b ** q1, factorial(q1)) * sum(
+        _front(0, p2) / (factorial(s - p2) * (q1 + s - p2 + 1))
+        for p2 in range(s + 1) if _front(0, p2))
 
 
-def _table(b: int, c: int, rows: int, cols: int) -> MappingProxyType:
-    table = _TABLES.setdefault((b, c), {})
-    if (rows, cols) not in table:
-        _coeff_table(_front(c, rows), b, rows, cols, table)
-    return MappingProxyType(table)
+@cache
+def _coeff(b: int, c: int, r: int, s: int) -> Fraction:
+    """The coefficient of t1^r t2^s in f(t1) beta0(-t2) (e^{bt1-t2}-1)/(bt1-t2),
+    f as in _front: the Cauchy double sum over p1 <= r, p2 <= s of
+    f_p1 B_p2(0)/p2! (-1)^s b^(r-p1) / ((r-p1)! (s-p2)! (r-p1+s-p2+1))."""
+    return (-1) ** s * sum((_front(c, p1) * _inner(b, r - p1, s)
+                            for p1 in range(r + 1) if _front(c, p1)), Fraction(0))
 
 
-def alpha_coeffs(b: int, rows: int, cols: int) -> MappingProxyType:
-    """{(r, s): A_b(r,s)}, read-only, for at least r <= rows, s <= cols."""
+def _coeff_table(b: int, c: int, rows: int, cols: int) -> dict:
+    """{(r, s): _coeff(b, c, r, s)} for r <= rows, s <= cols, a fresh dict."""
+    return {(r, s): _coeff(b, c, r, s)
+            for r in range(rows + 1) for s in range(cols + 1)}
+
+
+def alpha_coeffs(b: int, rows: int, cols: int) -> dict:
+    """{(r, s): A_b(r,s)} for r <= rows, s <= cols."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    return _table(b, 0, rows, cols)
+    return _coeff_table(b, 0, rows, cols)
 
 
-def alpha_tilde_coeffs(b: int, c: int, rows: int,
-                       cols: int) -> MappingProxyType:
-    """Coefficients of atilde_{b,c}(t1,t2) at t1^r t2^s, read-only, for at
-    least r <= rows, s <= cols."""
+def alpha_tilde_coeffs(b: int, c: int, rows: int, cols: int) -> dict:
+    """Coefficients of atilde_{b,c}(t1,t2) at t1^r t2^s, r <= rows, s <= cols."""
     if not 1 <= c <= b - 1:
         raise ValueError("need 1 <= c <= b-1")
-    return _table(b, c, rows, cols)
+    return _coeff_table(b, c, rows, cols)
 
 
 def zeta_integral_coeff(a: int, b: int, r: int, s: int) -> SymbolicValue:

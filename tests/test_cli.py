@@ -56,6 +56,22 @@ def test_dirichlet_basis_outside_g2_field_is_usage_error():
     assert err.splitlines()[-1] == "tornheim: error: not in G2 constant field: C_5(1/4)"
 
 
+def test_dirichlet_eval_checks_the_g2_field_once(monkeypatch):
+    field_error, calls = constants.g2_field_error, []
+
+    def counted(v):
+        calls.append(v)
+        return field_error(v)
+
+    for module in (cli, constants):  # every name bound to the check
+        for name, value in list(vars(module).items()):
+            if value is field_error:
+                monkeypatch.setattr(module, name, counted)
+    code, _, _ = run_cli("eval", "--a", "1", "--b", "3", "--k", "1", "1", "3",
+                         "--basis", "dirichlet")
+    assert code == 0 and len(calls) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "--a", "0", "--b", "1", "--k", "1", "1", "3"),
     ("eval", "--a", "1", "--b", "1", "--k", "0", "1", "4"),

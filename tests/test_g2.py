@@ -2,6 +2,7 @@
 shape, mandatory verification, serialization."""
 import json
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -138,7 +139,8 @@ def test_closed_form_memo_holds_each_distinct_term_once(monkeypatch):
     assert len(computed) == len(set(computed)) == 52
 
     memo = dict(g2._closed_forms)
-    monkeypatch.setattr(parity, "_TABLES", {})
+    for name in ("_front", "_inner", "_coeff"):  # from empty coefficient caches
+        monkeypatch.setattr(parity, name, cache(getattr(parity, name).__wrapped__))
     for req, value in memo.items():
         assert value == closed_form(req)
 

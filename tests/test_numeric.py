@@ -19,7 +19,7 @@ from tornheim.numeric import (DEFAULT_PRECISION, Precision, PrecisionError,
 import tornheim
 from tornheim import numeric
 from tornheim.g2 import G2Request
-from tornheim.parity import EvalRequest
+from tornheim.parity import EvalRequest, closed_form
 from tornheim.pfd import G2_FORMS
 
 F = Fraction
@@ -40,11 +40,20 @@ def test_check_values_relative_and_absolute():
     rec = check_values(1.0, 1.0 + 1e-12, DEFAULT_PRECISION, label="x")
     assert rec.passed and rec.label == "x"
     assert not check_values(1.0, 1.0 + 1e-8).passed
-    # relative down to the 1e-30 floor, absolute below it
+    # relative to |rhs| down to the 1e-30 floor, relative to the floor below it
     assert not check_values(1e-25, 3e-25).passed
     assert not check_values(1e-7, 2e-7).passed
     rec = check_values(1e-31, 3e-31)
-    assert rec.passed and rec.rel_residual == rec.abs_residual == "2.0e-31"
+    assert not rec.passed and rec.rel_residual == "0.2"
+
+
+def test_check_scale_below_the_floor_tells_right_from_wrong():
+    # the series of (8,7;1,1,27) is about 1.8e-32, below the 1e-30 floor:
+    # its closed form passes, and twice it fails
+    req = EvalRequest(8, 7, 1, 1, 27)
+    value = closed_form(req)
+    recs = verify({"right": value, "twice": value * 2}, req.factors)
+    assert recs["right"].passed and not recs["twice"].passed
 
 
 # ------------------------------------------------------------- constants
@@ -444,7 +453,7 @@ def test_zero_tail_coefficients_evaluate_nothing(monkeypatch, hurwitz_table):
 def test_constants_share_hurwitz_values(monkeypatch, hurwitz_table):
     # C_j and S_j at the canonical angles 1/4, 1/8 and 3/8 read
     # zeta(j, r/8), r = 1..8: one mp.zeta call per distinct reduced r/N
-    monkeypatch.setattr(numeric, "_const_cache", {})
+    eval_constant.cache_clear()
     calls = []
     plain_zeta = mp.zeta
 
@@ -465,7 +474,7 @@ def test_constants_share_hurwitz_values(monkeypatch, hurwitz_table):
 def test_zero_periodic_weights_read_no_hurwitz_value(monkeypatch, hurwitz_table):
     # sin(2 pi r/4) is 0 at r = 2, 4 and cos(2 pi r/8) at r = 2, 6: S_3(1/4)
     # reads zeta(3, 1/4) and zeta(3, 3/4) only, C_3(1/8) six values
-    monkeypatch.setattr(numeric, "_const_cache", {})
+    eval_constant.cache_clear()
     calls = []
     plain_zeta = mp.zeta
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
 from math import factorial, gcd
 
 import pytest
@@ -88,41 +89,71 @@ def test_alpha_tilde_validates_shift():
         alpha_tilde_coeffs(2, 0, 5, 5)
 
 
+def _cold_coefficient_caches(monkeypatch):
+    """Give the coefficient functions empty caches until the test ends."""
+    for name in ("_front", "_inner", "_coeff"):
+        monkeypatch.setattr(parity, name, cache(getattr(parity, name).__wrapped__))
+
+
 @pytest.mark.parametrize("b", [3, 7])
 def test_grown_tables_equal_direct_builds(b, monkeypatch):
-    # a table grown first in rows, then in cols, holds exactly what one
-    # direct build at the final size gives
-    monkeypatch.setattr(parity, "_TABLES", {})
+    # rectangles asked for first in rows, then in cols, hold exactly what
+    # one build at the final size from empty caches gives; a smaller
+    # rectangle is the restriction of a larger one
+    def table(c, rows, cols):
+        return (alpha_tilde_coeffs(b, c, rows, cols) if c
+                else alpha_coeffs(b, rows, cols))
+
+    _cold_coefficient_caches(monkeypatch)
+    grown = {}
     for c in range(b):
-        def grow(rows, cols):
-            return (alpha_tilde_coeffs(b, c, rows, cols) if c
-                    else alpha_coeffs(b, rows, cols))
-        grow(2, 3)
-        grow(9, 3)
-        table = grow(9, 8)
-        assert dict(table) == parity._coeff_table(parity._front(c, 9), b, 9, 8)
-        assert dict(grow(4, 5)) == dict(table)      # no shrinking
-        with pytest.raises(TypeError):
-            table[(0, 0)] = 0                         # read-only view
-    assert sorted(parity._TABLES) == [(b, c) for c in range(b)]
+        table(c, 2, 3)
+        table(c, 9, 3)
+        grown[c] = table(c, 9, 8)
+        assert set(grown[c]) == {(r, s) for r in range(10) for s in range(9)}
+        assert table(c, 4, 5) == {(r, s): v for (r, s), v in grown[c].items()
+                                  if r <= 4 and s <= 5}
+    _cold_coefficient_caches(monkeypatch)
+    assert {c: table(c, 9, 8) for c in range(b)} == grown
+
+    # a caller's dict is its own: writing to it changes no later table
+    # or closed form
+    req = EvalRequest(1, b, 3, 3, 3)
+    value = closed_form(req)
+    want = {c: dict(t) for c, t in grown.items()}
+    for t in grown.values():
+        for key in t:
+            t[key] += 1
+    assert {c: table(c, 9, 8) for c in range(b)} == want
+    assert closed_form(req) == value
 
 
-def test_table_store_holds_one_table_per_shift(monkeypatch):
-    # the sizes a sweep of weights 5-9 with b <= 8 asks for leave one
-    # table per (b, c), holding the union of the rectangles asked for
-    monkeypatch.setattr(parity, "_TABLES", {})
-    for b in range(1, 9):
-        for weight in (5, 7, 9):
-            for k2 in range(1, weight - 1):
-                for k3 in range(1, weight - k2):
-                    alpha_coeffs(b, k2, k3)
-                    for c in range(1, b):
-                        alpha_tilde_coeffs(b, c, k2, k3)
-    assert sorted(parity._TABLES) == [(b, c) for b in range(1, 9)
-                                      for c in range(b)]
-    for table in parity._TABLES.values():
-        assert set(table) == {(r, s) for r in range(8) for s in range(8)
-                              if r + s <= 8}
+def test_sweep_computes_each_coefficient_once(monkeypatch):
+    # the sizes a sweep of weights 5-9 with b <= 8 asks for compute each
+    # (b, c, r, s) of the union of their rectangles once, and a repeated
+    # sweep computes nothing
+    computed = []
+    plain = parity._coeff.__wrapped__
+    monkeypatch.setattr(parity, "_coeff", cache(
+        lambda *key: computed.append(key) or plain(*key)))
+
+    def sweep():
+        for b in range(1, 9):
+            for weight in (5, 7, 9):
+                for k2 in range(1, weight - 1):
+                    for k3 in range(1, weight - k2):
+                        alpha_coeffs(b, k2, k3)
+                        for c in range(1, b):
+                            alpha_tilde_coeffs(b, c, k2, k3)
+
+    sweep()
+    assert len(computed) == len(set(computed))
+    assert set(computed) == {(b, c, r, s) for b in range(1, 9)
+                             for c in range(b) for r in range(8)
+                             for s in range(8) if r + s <= 8}
+    computed.clear()
+    sweep()
+    assert computed == []
 
 
 # -------------------------------------------------------------- requests
