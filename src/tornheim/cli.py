@@ -4,8 +4,8 @@
     tornheim g2    --k K1 K2 K3 K4 K5 K6 [--show-reduction]
     tornheim table --weight W --pairs A,B [A,B ...] [--format text|json]
 
-Exit codes: 0 verified/ok, 1 internal error, 2 usage error,
-3 verification failure.  TORNHEIM_PREC sets the default working digits.
+Exit codes: 0 verified/ok, 1 internal error or closed stdout, 2 usage
+error, 3 verification failure.  TORNHEIM_PREC sets the default digits.
 """
 from __future__ import annotations
 
@@ -216,9 +216,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(parser, args)
+        code = args.run(parser, args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except (ValueError, RuntimeError) as exc:  # incl. PrecisionError
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader closed stdout, as `| head -1` does
+        if sys.stdout is sys.__stdout__:  # the exit flush goes to /dev/null
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

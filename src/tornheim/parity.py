@@ -25,10 +25,11 @@ finite Cauchy double sums over Bernoulli numbers, one per coefficient.
 Each coefficient, per (b, c, r, s), is computed once per process and
 shared by every truncation that holds it; a caller gets a fresh dict.
 
-Each block is real by construction.  With k = k1+k2+k3 odd, term1
-writes i^e zeta(k1+s) with e = k-(k1+s), nonzero only for odd k1+s, so e
-is even; term2 writes i^(e+odd) with odd = (k1-1+s) mod 2, and e+odd is
-even for its C, zeta and S terms alike.  _real_terms checks that power
+Both blocks sum their table along its anti-diagonals and hand one weight
+per (c, s) to one writer.  The zeta block is c = b, whose whole angle a
+gives C_j(a) = zeta(j), so reduce_angle alone picks zeta, C or S.  Every
+term is written at i^(e+odd), e = k-(k1+s), odd = (k1-1+s) mod 2, and
+e+odd = k-1 (mod 2) is even at odd weight k.  _real_terms checks that power
 where each term is written and raises on a nonzero term with odd power.
 """
 from __future__ import annotations
@@ -36,10 +37,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, gcd
+from math import comb, factorial
 
 from .arith import bernoulli_number, bernoulli_polys
-from .constants import PI, SymbolicValue, mono_weight, reduce_angle, zeta
+from .constants import PI, SymbolicValue, mono_weight, reduce_angle
 
 
 class EvalRequest(namedtuple("EvalRequest", "a b k1 k2 k3")):
@@ -113,17 +114,6 @@ def alpha_tilde_coeffs(b: int, c: int, rows: int, cols: int) -> dict:
     return _coeff_table(b, c, rows, cols)
 
 
-def zeta_integral_coeff(a: int, b: int, r: int, s: int) -> SymbolicValue:
-    """gcd(a,b)^(r+s)/(a^s b^r) * zeta(r+s) for odd r+s, else zero."""
-    if min(a, b, r, s) < 1:
-        raise ValueError("arguments must be >= 1")
-    if (r + s) % 2 == 0:
-        return SymbolicValue.zero()
-    g = gcd(a, b)
-    coeff = Fraction(g ** (r + s), a ** s * b ** r)
-    return SymbolicValue.from_terms([(coeff, [(zeta(r + s), 1)])])
-
-
 def _real_terms(k: int, e: int, x: Fraction, cst: SymbolicValue) -> list:
     """i^k x pi^e cst, for a real constant cst, as (coeff, factors) pairs;
     raises on a nonzero term with odd k, which would leave the block complex."""
@@ -133,75 +123,69 @@ def _real_terms(k: int, e: int, x: Fraction, cst: SymbolicValue) -> list:
     return [(sign * x * coeff, [*mono, (PI, e)]) for mono, coeff in cst.terms()]
 
 
-def term1_coeff(req: EvalRequest) -> SymbolicValue:
-    """The coefficient block pairing A_b(n2,n3) with the
-    depth-one zeta series; monomials are (2 pi i)^(n2+n3) rational zeta(k1+s)."""
-    a, b, k1, k2, k3 = req.a, req.b, req.k1, req.k2, req.k3
-    series = alpha_coeffs(b, k2, k3)
-    # s = k2+k3-n2-n3 fixes both pi^(n2+n3) and zeta(k1+s): sum per s first
-    weights: dict[int, Fraction] = {}
-    for n2 in range(k2 + 1):
-        for n3 in range(k3 + 1):
-            ab = series[(n2, n3)]
-            s = k2 + k3 - n2 - n3
-            if ab and s >= 1:
-                j = k2 - n2
-                weights[s] = weights.get(s, 0) + ab * (comb(s, j) * (-b) ** j)
+def _diagonal_sums(table: dict, b: int, k2: int, k3: int, n2_from: int) -> dict:
+    """{s: sum of T(n2,n3) C(s,j) (-b)^j over n2 >= n2_from}, s = k2+k3-n2-n3
+    and j = k2-n2: T summed along the anti-diagonals, where s fixes both
+    pi^(n2+n3) and the constant's index."""
+    sums: dict[int, Fraction] = {}
+    for (n2, n3), t in table.items():
+        if t and n2 >= n2_from:
+            j = k2 - n2
+            s = j + k3 - n3
+            sums[s] = sums.get(s, 0) + t * (comb(s, j) * (-b) ** j)
+    return sums
+
+
+def _write(req: EvalRequest, weights: dict) -> SymbolicValue:
+    """The sum over {(c, s): w} of i^(e+odd) w (2 pi)^e/a^s K_{k1+s}(ac/b),
+    e = k2+k3-s, odd = (k1-1+s) mod 2, K = S if odd else C; at c = b the
+    angle is a whole number and C_{k1+s}(a) = zeta(k1+s)."""
+    a, b, k1, k2, k3 = req
     terms = []
-    for s, w in weights.items():
+    for (c, s), w in weights.items():
         e = k2 + k3 - s
-        terms += _real_terms(e, e, w * 2 ** e, zeta_integral_coeff(a, 1, k1, s))
+        odd = (k1 - 1 + s) % 2
+        terms += _real_terms(e + odd, e, w * Fraction(2 ** e, a ** s),
+                             reduce_angle("S" if odd else "C", k1 + s,
+                                          Fraction(a * c, b)))
     return SymbolicValue.from_terms(terms)
+
+
+def term1_coeff(req: EvalRequest) -> SymbolicValue:
+    """The coefficient block pairing A_b(n2,n3) with the depth-one zeta
+    series: (2 pi i)^e a^-s zeta(k1+s) for odd k1+s, the writer's c = b."""
+    _, b, k1, k2, k3 = req
+    sums = _diagonal_sums(alpha_coeffs(b, k2, k3), b, k2, k3, 0)
+    return _write(req, {(b, s): w for s, w in sums.items()
+                        if s >= 1 and (k1 + s) % 2})
 
 
 def term2_coeff(req: EvalRequest) -> SymbolicValue:
     """The shift-correction block: Clausen values at angles
     a*c/b weighted by Bernoulli polynomial values B_q(c/b); zero when b = 1."""
-    a, b, k1, k2, k3 = req.a, req.b, req.k1, req.k2, req.k3
-    p = k1 - 1
-    # the term at (c, n2, n3) depends on n2 + n3 only through
-    # big_q = k2+k3-n2-n3+1: sum its rational weight per (c, big_q) first
-    lead: dict[tuple[int, int], Fraction] = {}
+    _, b, k1, k2, k3 = req
+    # (-1)^q B_q(c/b) / q! for every q below, one list per c built from
+    # one list of powers of c/b; c = b gives the B_q(1) of the zeta block,
+    # which has no Clausen block to join when b = 1
+    bern = {c: [v / ((-1) ** q * factorial(q)) for q, v in
+                enumerate(bernoulli_polys(k2 + k3 - 1, Fraction(c, b)))]
+            for c in range(1, b + 1) if b > 1}
+    # with diagonal sum w at s0 and s0+1 = s+q, the term is
+    # (-1)^q w (2 pi i)^e/(a^s q!) times
+    #   i S_{k1+s}(ac/b) B_q(c/b)                   for even k1+s,
+    #   C_{k1+s}(ac/b) B_q(c/b) - zeta(k1+s) B_q(1)  for odd k1+s,
+    # and zeta(k1+s) is the Clausen block at c = b: sum the weights per
+    # (c, s) and write them once
+    weights: dict[tuple[int, int], Fraction] = {}
     for c in range(1, b):
-        series = alpha_tilde_coeffs(b, c, k2, k3)
-        for n2 in range(1, k2 + 1):
-            for n3 in range(k3 + 1):
-                at = series[(n2, n3)]
-                if at == 0:
-                    continue
-                big_q = k2 + k3 - n2 - n3 + 1
-                j = k2 - n2
-                lead[(c, big_q)] = lead.get((c, big_q), 0) + at * (
-                    comb(big_q - 1, j) * b ** j * (-1) ** (big_q - 1 - j))
-
-    # B_q(c/b) / q! for every q below, one list per c built from one list
-    # of powers of c/b; c = b gives the B_q(1) of the zeta block
-    top = max((big_q for _, big_q in lead), default=1) - 1
-    bern = {c: [v / factorial(q)
-                for q, v in enumerate(bernoulli_polys(top, Fraction(c, b)))]
-            for c in {c for c, _ in lead} | {b}}
-
-    # with big_q = s + q and e = k2+k3-s, the term is (-1)^s 2^e pi^e/(a^s q!) times
-    #   -i S_{p+s+1}(ac/b) B_q(c/b)                   for odd p+s,
-    #   zeta(p+s+1) B_q(1) - C_{p+s+1}(ac/b) B_q(c/b)  for even p+s,
-    # and zeta(p+s+1) = C_{p+s+1}(ab/b) is the Clausen block at c = b,
-    # added for even p+s only: sum the weights per (c, s), then scale once
-    clausen_w: dict[tuple[int, int], Fraction] = {}
-    for (c, big_q), w in lead.items():
-        for s in range(1, big_q + 1):
-            q = big_q - s
-            if (p + s) % 2 == 0:
-                clausen_w[(b, s)] = clausen_w.get((b, s), 0) + w * bern[b][q]
-            clausen_w[(c, s)] = clausen_w.get((c, s), 0) - w * bern[c][q]
-    terms = []
-    for (c, s), w in clausen_w.items():
-        e = k2 + k3 - s
-        odd = (p + s) % 2
-        x = w * Fraction((-1) ** s * 2 ** e, a ** s)
-        terms += _real_terms(e + odd, e, x,
-                             reduce_angle("S" if odd else "C", p + s + 1,
-                                          Fraction(a * c, b)))
-    return SymbolicValue.from_terms(terms)
+        sums = _diagonal_sums(alpha_tilde_coeffs(b, c, k2, k3), b, k2, k3, 1)
+        for s0, w in sums.items():
+            for s in range(1, s0 + 2):
+                q = s0 + 1 - s
+                if (k1 + s) % 2:
+                    weights[(b, s)] = weights.get((b, s), 0) - w * bern[b][q]
+                weights[(c, s)] = weights.get((c, s), 0) + w * bern[c][q]
+    return _write(req, weights)
 
 
 def g_coefficient(req: EvalRequest) -> SymbolicValue:

@@ -3,6 +3,8 @@ import gc
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -362,14 +364,17 @@ def test_precision_floor_follows_the_tolerance(digits, code):
     assert ("need >= 20" in err) == (code == 2)
 
 
-def run_child(*argv):
-    """A fresh interpreter that imports the same package as this process,
-    installed or not."""
+def child_env():
+    """The environment of a fresh interpreter that imports the same
+    package as this process, installed or not."""
     src = str(Path(tornheim.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def run_child(*argv):
     return subprocess.run([sys.executable, *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
 
 
 def test_console_entry_point():
@@ -431,3 +436,66 @@ def test_eval_and_table_leave_the_closed_form_memo_alone():
     assert run_cli("table", "--weight", "5", "--pairs", "2,5",
                    "--format", "json")[0] == 0
     assert g2._closed_forms == memo
+
+
+@pytest.mark.parametrize("unbuffered,rows_read,argv", [
+    # `| head -1`: 22 kB of rows fill the 8 kB pipe buffer more than
+    # twice, so a buffered stdout also writes again after the close
+    (True, 1, ("--weight", "7", "--pairs", "1,1", "1,2")),
+    (False, 1, ("--weight", "7", "--pairs", "1,1", "1,2")),
+    # a reader gone before the first row: 4 kB stay buffered until the
+    # last flush, which fails and leaves them for the exit flush
+    (False, 0, ("--weight", "5", "--pairs", "1,1")),
+], ids=["unbuffered", "buffered", "closed-before-output"])
+def test_closed_stdout_exits_one_without_a_traceback(unbuffered, rows_read,
+                                                     argv):
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tornheim.cli", "table", *argv,
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    for _ in range(rows_read):
+        assert json.loads(proc.stdout.readline())["passed"]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def readme_console_examples():
+    """(argv, expected lines, whole) per `$ tornheim ...` line of the
+    README's console blocks; a block ending in `...` shows a prefix."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"```console\n(.*?)```", readme, re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, *lines = chunk.strip().splitlines()
+            whole = lines[-1:] != ["..."]
+            examples.append(pytest.param(
+                shlex.split(command)[1:], lines if whole else lines[:-1],
+                whole, id=command))
+    return examples
+
+
+@pytest.mark.parametrize("argv,want,whole", readme_console_examples())
+def test_readme_console_examples(argv, want, whole):
+    code, out, _ = run_cli(*argv)
+    got = out.splitlines()
+    assert code == 0
+    assert (got if whole else got[:len(want)]) == want
+
+
+@pytest.mark.xfail(strict=True, reason="cancellation among the closed "
+                   "form's terms exceeds its ten guard digits")
+@pytest.mark.parametrize("argv", [
+    ("eval", "--a", "8", "--b", "7", "--k", "1", "1", "23", "--verify",
+     "--prec", "45", "--tol", "1e-35"),
+    ("g2", "--k", "1", "2", "4", "7", "10", "1", "--prec", "45",
+     "--tol", "1e-35"),
+], ids=lambda argv: argv[0])
+def test_exact_forms_pass_at_45_digits(argv):
+    assert run_cli(*argv)[0] == 0

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 import pytest
 from mpmath import mp
@@ -17,8 +17,8 @@ from tornheim.arith import bernoulli_number
 from tornheim.constants import PI, SymbolicValue, clausen_s, mono_weight, zeta
 from tornheim.numeric import Precision, eval_symbolic, lattice_sum
 from tornheim.parity import (EvalRequest, alpha_coeffs, alpha_tilde_coeffs,
-                             closed_form, g_coefficient, term2_coeff,
-                             zeta_integral_coeff)
+                             closed_form, g_coefficient, term1_coeff,
+                             term2_coeff)
 
 F = Fraction
 
@@ -168,12 +168,26 @@ def test_request_validation():
     assert req.swapped == EvalRequest(5, 2, 2, 1, 4)
 
 
-def test_zeta_integral_coeff():
-    # gcd^(r+s) / (a^s b^r): gcd(2,4)^3 / (2^2 * 4^1) = 1/2
-    assert zeta_integral_coeff(2, 4, 1, 2) == sv(F(1, 2), (zeta(3), 1))
-    assert zeta_integral_coeff(1, 1, 2, 2).is_zero     # even r+s
-    with pytest.raises(ValueError):
-        zeta_integral_coeff(1, 1, 0, 3)
+def test_zeta_block_matches_direct_formula():
+    # term1 written straight from its definition: with s = k2+k3-n2-n3,
+    # j = k2-n2 and e = k2+k3-s, the sum over odd k1+s of
+    # i^e w_s 2^e a^-s zeta(k1+s), w_s = sum A_b(n2,n3) C(s,j) (-b)^j
+    for (a, b, k1, k2, k3) in [(1, 1, 1, 1, 3), (1, 2, 1, 1, 3),
+                               (2, 3, 2, 1, 2), (3, 2, 1, 2, 4),
+                               (2, 5, 3, 3, 3), (4, 3, 2, 4, 1)]:
+        table = alpha_coeffs(b, k2, k3)
+        weights = {}
+        for (n2, n3), ab in table.items():
+            s, j = k2 + k3 - n2 - n3, k2 - n2
+            weights[s] = weights.get(s, 0) + ab * comb(s, j) * (-b) ** j
+        want = SymbolicValue.zero()
+        for s, w in weights.items():
+            e = k2 + k3 - s
+            if s >= 1 and (k1 + s) % 2:
+                assert e % 2 == 0
+                want += sv((-1) ** (e // 2) * w * F(2 ** e, a ** s),
+                           (PI, e), (zeta(k1 + s), 1))
+        assert term1_coeff(EvalRequest(a, b, k1, k2, k3)) == want
 
 
 # ----------------------------------------------------------- closed forms
@@ -304,22 +318,16 @@ def test_weight_homogeneity_check_survives_optimize():
 
 
 def test_odd_power_of_i_check_survives_optimize():
-    # without its zero branch for even r+s, zeta_integral_coeff hands
-    # term1 a nonzero zeta at an odd power of i: closed_form must raise,
+    # at even weight the zeta block lands on odd powers of i; a request
+    # built past EvalRequest's weight guard must make closed_form raise,
     # also where asserts are stripped
-    script = ("from fractions import Fraction\n"
-              "from math import gcd\n"
-              "import tornheim.parity as p\n"
-              "def unguarded(a, b, r, s):\n"
-              "    coeff = Fraction(gcd(a, b) ** (r + s), a ** s * b ** r)\n"
-              "    return p.SymbolicValue.from_terms(\n"
-              "        [(coeff, [(p.zeta(r + s), 1)])])\n"
-              "p.zeta_integral_coeff = unguarded\n"
+    script = ("import tornheim.parity as p\n"
+              "req = tuple.__new__(p.EvalRequest, (1, 2, 1, 1, 2))\n"
               "try:\n"
-              "    p.closed_form(p.EvalRequest(1, 2, 1, 1, 3))\n"
+              "    p.closed_form(req)\n"
               "except RuntimeError as exc:\n"
               "    print(exc)\n")
-    assert "odd power i^" in _run_optimized(script)
+    assert "odd power i^1" in _run_optimized(script)
 
 
 def test_closed_form_insensitive_to_constant_block_convention(monkeypatch):
