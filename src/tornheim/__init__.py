@@ -5,8 +5,8 @@ values at odd weight, with mandatory high-precision numeric verification.
 __version__ = "0.1.0"
 
 from .arith import Rational, bernoulli_number, bernoulli_poly
-from .constants import (SymbolicValue, exact_L_value, reduce_angle,
-                        to_dirichlet_basis, to_json, to_latex, to_text)
+from .constants import (SymbolicValue, reduce_angle, to_dirichlet_basis,
+                        to_json, to_latex, to_text)
 from .g2 import G2ClosedForm, G2Request, VerificationError, evaluate_g2
 from .numeric import (NumericCheckRecord, Precision, PrecisionError,
                       check_values, eval_constant, eval_symbolic, lattice_sum,
@@ -15,7 +15,7 @@ from .parity import EvalRequest, closed_form
 
 __all__ = [
     "Rational", "bernoulli_number", "bernoulli_poly",
-    "SymbolicValue", "reduce_angle", "to_dirichlet_basis", "exact_L_value",
+    "SymbolicValue", "reduce_angle", "to_dirichlet_basis",
     "to_latex", "to_text", "to_json",
     "EvalRequest", "closed_form",
     "G2Request", "G2ClosedForm", "evaluate_g2", "VerificationError",

@@ -1,5 +1,5 @@
 """Symbolic constants: exact Q-linear combinations of monomials in
-pi, sqrt(3), zeta(j), Clausen values and Dirichlet L-values, all real.
+pi, zeta(j), Clausen values and Dirichlet L-values, all real.
 
 Conventions:
     C_j(q) = Re Li_j(e^{2 pi i q})      S_j(q) = Im Li_j(e^{2 pi i q})
@@ -9,7 +9,9 @@ Canonical form: Clausen angles are reduced mod 1 and reflected into
 (0, 1/2); the reducible angles ({0, 1/2, 1/3, 1/6} for C, {0, 1/2, 1/6}
 for S) are rewritten to rational multiples of zeta(j) or S_j(1/3), so
 equal values within the rule set have equal term maps and == is
-syntactic.  sqrt(3)^2 folds into the coefficient as 3.
+syntactic.  No relation holds between the symbols of a monomial: a value
+is a vector over monomials, and sqrt(3) appears only inside the Dirichlet
+rewrite, counted from S_j(1/3) factors.
 """
 from __future__ import annotations
 
@@ -20,8 +22,7 @@ import json
 
 from .arith import Rational, bernoulli_number, bernoulli_poly
 
-_KIND_ORDER = {"zeta": 0, "C": 1, "S": 2, "L3": 3, "pi": 4, "sqrt3": 5}
-_NO_INDEX = ("pi", "sqrt3")
+_KIND_ORDER = {"zeta": 0, "C": 1, "S": 2, "L3": 3, "pi": 4}
 
 # a stable description of the canonicalization rules; hashed into output
 # records so consumers can tell when the canonical form changed meaning
@@ -39,9 +40,9 @@ class BaseConstant(namedtuple("BaseConstant", "kind index angle")):
     __slots__ = ()
 
     def __new__(cls, kind: str, index: int = 0, angle: Fraction = Fraction(0)):
-        if kind in _NO_INDEX:
+        if kind == "pi":
             if index != 0 or angle != 0:
-                raise ValueError(f"{kind} takes no index/angle")
+                raise ValueError("pi takes no index/angle")
         elif kind == "zeta":
             if index < 2 or angle != 0:
                 raise ValueError("zeta index must be >= 2")
@@ -65,11 +66,10 @@ class BaseConstant(namedtuple("BaseConstant", "kind index angle")):
 
     @property
     def weight(self) -> int:
-        return 1 if self.kind == "pi" else self.index  # sqrt3: index 0
+        return 1 if self.kind == "pi" else self.index
 
 
 PI = BaseConstant("pi")
-SQRT3 = BaseConstant("sqrt3")
 
 
 def zeta(j: int) -> BaseConstant:
@@ -92,20 +92,14 @@ def clausen_s(j: int, q: Rational) -> BaseConstant:
 Monomial = tuple
 
 
-def _normalize_monomial(factors) -> tuple[Fraction, Monomial]:
-    """Merge duplicate symbols and fold sqrt3^2 -> 3."""
+def _normalize_monomial(factors) -> Monomial:
+    """Merge duplicate symbols; one whose exponents sum below 1 is dropped."""
     exps: dict[BaseConstant, int] = {}
     for sym, e in factors:
         if e:
             exps[sym] = exps.get(sym, 0) + e
-    carry = Fraction(1)
-    if SQRT3 in exps:
-        e = exps[SQRT3]
-        carry *= Fraction(3) ** (e // 2)
-        exps[SQRT3] = e % 2
-    mono = tuple(sorted(((s, e) for s, e in exps.items() if e > 0),
+    return tuple(sorted(((s, e) for s, e in exps.items() if e > 0),
                         key=lambda p: p[0].sort_key))
-    return carry, mono
 
 
 def mono_weight(mono: Monomial) -> int:
@@ -120,8 +114,7 @@ def _mono_exp(mono: Monomial, sym: BaseConstant) -> int:
 
 
 def _display_key(mono: Monomial):
-    consts = tuple((p[0].sort_key, p[1]) for p in mono
-                   if p[0].kind not in _NO_INDEX)
+    consts = tuple((p[0].sort_key, p[1]) for p in mono if p[0] != PI)
     return (_mono_exp(mono, PI), len(consts), consts,
             tuple((p[0].sort_key, p[1]) for p in mono))
 
@@ -148,8 +141,8 @@ class SymbolicValue:
         in one dict and built once."""
         out: dict[Monomial, Fraction] = {}
         for coeff, factors in terms:
-            carry, mono = _normalize_monomial(factors)
-            out[mono] = out.get(mono, Fraction(0)) + Fraction(coeff) * carry
+            mono = _normalize_monomial(factors)
+            out[mono] = out.get(mono, Fraction(0)) + Fraction(coeff)
         return cls(out)
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
@@ -161,8 +154,7 @@ class SymbolicValue:
 
     def coefficient(self, factors) -> Fraction:
         """Coefficient of the monomial given as (symbol, exponent) pairs."""
-        carry, mono = _normalize_monomial(factors)
-        return self._terms.get(mono, Fraction(0)) / carry
+        return self._terms.get(_normalize_monomial(factors), Fraction(0))
 
     def __add__(self, other):
         if not isinstance(other, SymbolicValue):
@@ -179,18 +171,10 @@ class SymbolicValue:
         return SymbolicValue({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return SymbolicValue()
-            return SymbolicValue({m: c * other for m, c in self._terms.items()})
-        if not isinstance(other, SymbolicValue):
+        """Scalar multiple by an int or a Fraction."""
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                carry, mono = _normalize_monomial(list(m1) + list(m2))
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2 * carry
-        return SymbolicValue(out)
+        return SymbolicValue({m: c * other for m, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -242,11 +226,6 @@ def exact_L_rational(j: int) -> Fraction:
     return sign * Fraction(2 ** j) * bernoulli_poly(j, Fraction(1, 3)) / (3 * factorial(j))
 
 
-def exact_L_value(j: int) -> SymbolicValue:
-    """L(j,chi3) for odd j as a rational multiple of sqrt(3)*pi^j."""
-    return SymbolicValue.from_terms([(exact_L_rational(j), [(SQRT3, 1), (PI, j)])])
-
-
 def _pi_even_to_zeta(e: int) -> Fraction:
     # pi^(2n) = ratio * zeta(2n) by zeta(2n) = (-1)^(n+1) B_2n (2pi)^(2n) / (2 (2n)!)
     n = e // 2
@@ -256,7 +235,7 @@ def _pi_even_to_zeta(e: int) -> Fraction:
 
 
 def g2_field_error(v: SymbolicValue) -> str | None:
-    """Why v lies outside the G2 constant field {pi, sqrt3, zeta, S_j(1/3)}:
+    """Why v lies outside the G2 constant field {pi, zeta, S_j(1/3)}:
     it holds a C_j, or an S_j at an angle other than 1/3.  None if inside."""
     for mono, _ in v.terms():
         for sym, _ in mono:
@@ -266,10 +245,11 @@ def g2_field_error(v: SymbolicValue) -> str | None:
 
 
 def to_dirichlet_basis(v: SymbolicValue, k: int) -> SymbolicValue:
-    """Rewrite an odd-weight value over {pi, sqrt3, zeta, S_j(1/3)} into
-    products zeta(a)zeta(b) / L(a,chi3)L(b,chi3) (bare zeta(k) kept), one
-    monomial at a time: S_j(1/3) = (sqrt3/2) L(j,chi3), sqrt3^2 = 3, then
-    pi^e is L(e,chi3)/q_e beside sqrt3 (e odd), else a multiple of zeta(e)."""
+    """Rewrite an odd-weight value over {pi, zeta, S_j(1/3)} into products
+    zeta(a)zeta(b) / L(a,chi3)L(b,chi3) (bare zeta(k) kept), one monomial
+    at a time: S_j(1/3) = (sqrt3/2) L(j,chi3) with its sqrt3s paired into
+    3s, then pi^e is L(e,chi3)/q_e beside a lone sqrt3 (e odd), else a
+    multiple of zeta(e)."""
     if k % 2 == 0:
         raise ValueError("weight must be odd")
     outside = g2_field_error(v)
@@ -284,8 +264,6 @@ def to_dirichlet_basis(v: SymbolicValue, k: int) -> SymbolicValue:
                 coeff /= 2 ** e
                 s3 += e
                 rest.append((dirichlet_l3(sym.index), e))
-            elif sym == SQRT3:
-                s3 += e
             elif sym == PI:
                 e_pi = e
             else:
@@ -311,12 +289,9 @@ def to_dirichlet_basis(v: SymbolicValue, k: int) -> SymbolicValue:
 
 # ---------------------------------------------------------------- printing
 
-_TEXT_NAMES = {"pi": "π", "sqrt3": "√3"}
-
-
 def _sym_text(sym: BaseConstant, e: int) -> str:
-    if sym.kind in _NO_INDEX:
-        s = _TEXT_NAMES[sym.kind]
+    if sym == PI:
+        s = "π"
     elif sym.kind == "zeta":
         s = f"ζ({sym.index})"
     elif sym.kind == "L3":
@@ -340,9 +315,8 @@ def _join_terms(v: SymbolicValue, render, sep: str) -> str:
 
 
 def _term_text(mono: Monomial, coeff: Fraction) -> str:
-    prefix = [p for p in mono if p[0].kind in _NO_INDEX]
-    consts = [p for p in mono if p[0].kind not in _NO_INDEX]
-    body = "".join(_sym_text(s, e) for s, e in prefix + consts)
+    body = "".join(_sym_text(s, e)  # pi first
+                   for s, e in sorted(mono, key=lambda p: p[0] != PI))
     n, d = coeff.numerator, coeff.denominator
     if d == 1:
         return ("" if (n == 1 and body) else str(n)) + body
@@ -376,9 +350,8 @@ def _sym_latex(sym: BaseConstant, e: int) -> str:
 def _term_latex(mono: Monomial, coeff: Fraction) -> str:
     pi_e = _mono_exp(mono, PI)
     numerator = ((str(coeff.numerator) if coeff.numerator != 1 else "")
-                 + (r"\sqrt{3}" if _mono_exp(mono, SQRT3) else "")
                  + (r"\pi" + _exp_latex(pi_e) if pi_e else ""))
-    consts = "".join(_sym_latex(s, e) for s, e in mono if s.kind not in _NO_INDEX)
+    consts = "".join(_sym_latex(s, e) for s, e in mono if s != PI)
     if coeff.denominator == 1:
         return (numerator + consts) or "1"
     return rf"\frac{{{numerator or '1'}}}{{{coeff.denominator}}}" + consts
@@ -396,7 +369,7 @@ def to_json_dict(v: SymbolicValue) -> dict:
         factors = []
         for sym, e in mono:
             f = {"kind": sym.kind, "exp": e}
-            if sym.kind not in _NO_INDEX:
+            if sym != PI:
                 f["index"] = sym.index
             if sym.kind in ("C", "S"):
                 f["angle"] = [str(sym.angle.numerator), str(sym.angle.denominator)]

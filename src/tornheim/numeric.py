@@ -16,15 +16,16 @@ rigorous bound or the evaluation raises; there is no silent truncation.
 Every Hurwitz value comes from `_hurwitz(j, x, dps)`: zeta(j, x), or
 -psi(x) at j = 1, at an exact rational x converted to mpf once, memoized
 by (j, x, derivative order, dps).  The tail's zeta(r, M+1) and
-zeta'(r0, M+1), its bound and `eval_constant`'s zeta(j, r/N) share one
-process-wide table, `_hurwitz_table`.  The head's zeta(j, 1+qm) and
--psi(1+qm) go to a table made per `lattice_sum` call and dropped when it
-returns, since a process-wide one would keep every (j, 1+qm) the process
-ever summed; shifts whose arguments coincide (the G2 sum's 1, 2, 3 and
-3/2 share 1+24 = 1+2*12 = 1+3*8 = 1+(3/2)*16) and the m <= M of an
-escalating call's earlier passes cost one call each.  Each pass converts
-its partial-fraction coefficients to mpf once, and forms each shift's
-exact argument and each distinct power of m once per m.
+zeta'(r0, M+1), its bound and `eval_constant`'s zeta(j, r/N) (zeta(j)
+is zeta(j, 1)) share one process-wide table, `_hurwitz_table`.  The
+head's zeta(j, 1+qm) and -psi(1+qm) go to a table made per `lattice_sum`
+call and dropped when it returns, since a process-wide one would keep
+every (j, 1+qm) the process ever summed; shifts whose arguments coincide
+(the G2 sum's 1, 2, 3 and 3/2 share 1+24 = 1+2*12 = 1+3*8 = 1+(3/2)*16)
+and the m <= M of an escalating call's earlier passes cost one call
+each.  Each pass converts its partial-fraction coefficients to mpf once,
+and forms each shift's exact argument and each distinct power of m once
+per m.
 """
 from __future__ import annotations
 
@@ -120,29 +121,26 @@ def _hurwitz(j, x, dps, derivative=0, table=_hurwitz_table):
 def eval_constant(c: BaseConstant, precision: Precision = DEFAULT_PRECISION):
     """One base constant as a real at working precision, memoized.
 
-    C_j(d/N), S_j(d/N) and L(j,chi3) are one periodic Hurwitz sum,
-    N^-j sum_{r=1..N} w_r zeta(j, r/N) with w_r = cos(2 pi r d/N),
-    sin(2 pi r d/N) or chi3(r) (N = 3), -psi(r/N) at j = 1.  `_hurwitz`
-    keeps psi's guard bits, so integer weights multiply exactly: the sum
-    rounds once.
+    Every constant but pi is one periodic Hurwitz sum,
+    N^-j sum_{r=1..N} w_r zeta(j, r/N) with w_r = cos(2 pi r d/N) for
+    C_j(d/N), sin(2 pi r d/N) for S_j(d/N), or chi3(r) (N = 3) for
+    L(j,chi3), and -psi(r/N) at j = 1; zeta(j) = C_j(0) is the sum at
+    N = 1, mpmath's zeta(j, 1).  `_hurwitz` keeps psi's guard bits, so
+    integer weights multiply exactly: the sum rounds once.
     """
     with mp.workdps(precision.dps):
         if c.kind == "pi":
             v = +mp.pi
-        elif c.kind == "sqrt3":
-            v = mp.sqrt(3)
-        elif c.kind == "zeta":
-            v = mp.zeta(c.index)
         else:
             j = c.index
             if c.kind == "L3":
                 N, weights = 3, {1: 1, 2: -1}
             else:
                 N, d = c.angle.denominator, c.angle.numerator
-                trig = mp.cos if c.kind == "C" else mp.sin
-                # the cosine is exactly 0 where 4rd/N is an odd integer, the
-                # sine where it is an even one: no Hurwitz value is read there
-                zero = N if c.kind == "C" else 0
+                # the cosine (C_j, and zeta(j) = C_j(0/1)) is exactly 0 where
+                # 4rd/N is an odd integer, the sine where it is an even one:
+                # no Hurwitz value is read there
+                trig, zero = (mp.sin, 0) if c.kind == "S" else (mp.cos, N)
                 weights = {r: trig(2 * mp.pi * r * d / N) for r in range(1, N + 1)
                            if 4 * r * d % (2 * N) != zero}
             v = mp.fsum(mp.fmul(w, _hurwitz(j, Fraction(r, N), precision.dps),

@@ -143,6 +143,8 @@ def _write(req: EvalRequest, weights: dict) -> SymbolicValue:
     a, b, k1, k2, k3 = req
     terms = []
     for (c, s), w in weights.items():
+        if not w:
+            continue
         e = k2 + k3 - s
         odd = (k1 - 1 + s) % 2
         terms += _real_terms(e + odd, e, w * Fraction(2 ** e, a ** s),

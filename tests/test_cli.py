@@ -2,7 +2,6 @@
 import gc
 import hashlib
 import json
-import os
 import re
 import shlex
 import subprocess
@@ -11,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
-import tornheim
 from tornheim import __version__
 from tornheim import cli, constants, g2, numeric, pfd
 from tornheim.constants import from_json_dict
 from tornheim.parity import EvalRequest, closed_form
+
+from conftest import child_env
 
 
 def run_cli(*argv):
@@ -362,14 +362,6 @@ def test_precision_floor_follows_the_tolerance(digits, code):
                           "--verify", "--prec", digits)
     assert got == code
     assert ("need >= 20" in err) == (code == 2)
-
-
-def child_env():
-    """The environment of a fresh interpreter that imports the same
-    package as this process, installed or not."""
-    src = str(Path(tornheim.__file__).parent.parent)
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 def run_child(*argv):

@@ -12,12 +12,11 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from tornheim import constants
-from tornheim.constants import (BaseConstant, PI, SQRT3, SymbolicValue,
-                                clausen_c, clausen_s, dirichlet_l3,
-                                exact_L_rational, exact_L_value, from_json,
-                                g2_field_error, mono_weight, reduce_angle,
-                                to_dirichlet_basis, to_json, to_latex,
-                                to_text, zeta)
+from tornheim.constants import (BaseConstant, PI, SymbolicValue, clausen_c,
+                                clausen_s, dirichlet_l3, exact_L_rational,
+                                from_json, g2_field_error, mono_weight,
+                                reduce_angle, to_dirichlet_basis, to_json,
+                                to_latex, to_text, zeta)
 from tornheim.numeric import DEFAULT_PRECISION, eval_constant, eval_symbolic
 
 F = Fraction
@@ -50,43 +49,43 @@ def test_base_constant_validation():
         BaseConstant("evenzeta", 4)
     with pytest.raises(ValueError):
         BaseConstant("i")                   # the ring holds reals only
+    with pytest.raises(ValueError):
+        BaseConstant("sqrt3")               # only the Dirichlet rewrite counts it
     BaseConstant("S", 2, F(1, 3))
     BaseConstant("C", 2, F(1, 5))
 
 
 def test_monomial_normalization():
-    assert sv(1, (SQRT3, 2)) == SymbolicValue.from_terms([(3, [])])
-    assert sv(1, (SQRT3, 3)) == sv(3, (SQRT3, 1))
     assert sv(2, (PI, 1), (PI, 2)) == sv(2, (PI, 3))
 
 
 def test_from_terms_equals_the_sum_of_its_terms():
-    terms = [(2, [(zeta(3), 1)]), (F(1, 2), [(SQRT3, 2), (PI, 1)]),
-             (-2, [(zeta(3), 1)]), (1, [(PI, 1), (SQRT3, 1), (SQRT3, 1)]),
-             (0, [(zeta(5), 1)]), (F(-1, 3), [(SQRT3, 1), (PI, 2)])]
+    s2 = clausen_s(2, F(1, 3))
+    terms = [(2, [(zeta(3), 1)]), (F(1, 2), [(s2, 1), (PI, 1)]),
+             (-2, [(zeta(3), 1)]), (1, [(PI, 1), (s2, 1)]),
+             (0, [(zeta(5), 1)]), (F(-1, 3), [(s2, 2), (PI, 2)])]
     total = SymbolicValue.zero()
     for coeff, factors in terms:
         total = total + SymbolicValue.from_terms([(coeff, factors)])
     built = SymbolicValue.from_terms(terms)
-    assert built == total == sv(F(9, 2), (PI, 1)) + sv(F(-1, 3), (SQRT3, 1), (PI, 2))
+    assert built == total == (sv(F(3, 2), (PI, 1), (s2, 1))
+                              + sv(F(-1, 3), (s2, 2), (PI, 2)))
     assert built.terms() == total.terms()
 
 
-def test_coefficient_accounts_for_carry():
-    v = sv(5, (SQRT3, 2), (zeta(3), 1))     # = 15 zeta(3)
-    assert v.coefficient([(zeta(3), 1)]) == 15
-    assert v.coefficient([(SQRT3, 2), (zeta(3), 1)]) == 5
-
-
 def test_algebra_ring_axioms():
+    # a value is a vector over monomials: sums and rational multiples only
     x = sv(2, (zeta(3), 1)) + sv(F(1, 2), (PI, 1))
     y = sv(1, (PI, 2)) - SymbolicValue.from_terms([(3, [])])
-    z = sv(F(-1, 3), (SQRT3, 1), (PI, 1))
-    assert (x + y) * z == x * z + y * z
-    assert x * y == y * x
+    z = sv(F(-1, 3), (clausen_s(2, F(1, 3)), 1), (PI, 1))
     assert (x + y) + z == x + (y + z)
+    assert x + y == y + x
+    assert F(2, 3) * (x + y) == F(2, 3) * x + F(2, 3) * y
+    assert (x + y) * 5 == x * 5 + 5 * y
     assert x - x == SymbolicValue.zero()
-    assert (x + y) * (x + y) == x * x + 2 * x * y + y * y
+    assert 0 * x == SymbolicValue.zero() == x * F(0)
+    with pytest.raises(TypeError):
+        x * y
 
 
 # --------------------------------------------------------- angle reduction
@@ -150,7 +149,8 @@ def test_exact_l_rational_table():
 def test_exact_l_value_numeric(j):
     with mp.workdps(40):
         lhs = eval_constant(dirichlet_l3(j))
-        rhs = eval_symbolic(exact_L_value(j))
+        q = exact_L_rational(j)
+        rhs = mp.mpf(q.numerator) / q.denominator * mp.sqrt(3) * mp.pi ** j
         assert abs(lhs - rhs) <= mp.mpf("1e-35") * abs(rhs)
 
 
@@ -186,8 +186,8 @@ def test_dirichlet_basis_rejections():
         to_dirichlet_basis(sv(1, (clausen_s(3, F(1, 4)), 1), (PI, 2)), 5)
     with pytest.raises(ValueError):
         to_dirichlet_basis(sv(1, (PI, 5)), 5)          # odd pi, no sqrt3
-    with pytest.raises(ValueError):
-        to_dirichlet_basis(sv(1, (SQRT3, 1), (PI, 4)), 5)
+    with pytest.raises(ValueError):                    # sqrt3, even pi
+        to_dirichlet_basis(sv(1, (clausen_s(3, F(1, 3)), 1), (PI, 2)), 5)
     with pytest.raises(ValueError):
         to_dirichlet_basis(sv(1, (zeta(5), 1)), 4)     # even weight
     with pytest.raises(ValueError):
@@ -196,27 +196,31 @@ def test_dirichlet_basis_rejections():
 
 def _two_stage_dirichlet(v, k):
     """The earlier two-stage rewrite, kept as the reference: S_j(1/3) ->
-    (sqrt3/2) L(j,chi3) into a new value, then its pi powers walked."""
+    (sqrt3/2) L(j,chi3) into staged monomials keyed by their sqrt3 parity,
+    sqrt3 pairs folded into 3s, then their pi powers walked."""
     if k % 2 == 0:
         raise ValueError("weight must be odd")
     outside = g2_field_error(v)
     if outside:
         raise ValueError(outside)
-    staged = []
+    staged = {}
     for mono, coeff in v.terms():
-        factors = []
+        factors, s3 = [], 0
         for sym, e in mono:
             if sym.kind == "S":
                 coeff /= 2 ** e
-                factors += [(SQRT3, e), (dirichlet_l3(sym.index), e)]
+                s3 += e
+                factors.append((dirichlet_l3(sym.index), e))
             else:
                 factors.append((sym, e))
-        staged.append((coeff, factors))
+        key = (constants._normalize_monomial(factors), s3 % 2)
+        staged[key] = staged.get(key, 0) + coeff * 3 ** (s3 // 2)
     products = []
-    for mono, coeff in SymbolicValue.from_terms(staged).terms():
+    for (mono, has_s3), coeff in staged.items():
+        if not coeff:
+            continue
         e_pi = constants._mono_exp(mono, PI)
-        has_s3 = constants._mono_exp(mono, SQRT3) == 1
-        rest = [(s, e) for s, e in mono if s.kind not in ("pi", "sqrt3")]
+        rest = [(s, e) for s, e in mono if s != PI]
         if has_s3:
             if e_pi % 2 == 0:
                 raise ValueError("sqrt(3) with even pi power")
@@ -235,7 +239,7 @@ def _two_stage_dirichlet(v, k):
     return out
 
 
-_G2_FIELD = [SQRT3, zeta(2), zeta(3), clausen_s(2, F(1, 3)),
+_G2_FIELD = [zeta(2), zeta(3), clausen_s(2, F(1, 3)),
              clausen_s(3, F(1, 3)), clausen_s(4, F(1, 3))]
 
 
@@ -245,15 +249,16 @@ _G2_FIELD = [SQRT3, zeta(2), zeta(3), clausen_s(2, F(1, 3)),
     st.lists(st.sampled_from(_G2_FIELD), max_size=3),
     st.sampled_from([0, 0, 0, 1, -1])), min_size=1, max_size=4))
 def test_one_pass_dirichlet_equals_two_stage(k, spec):
-    # a repeated symbol is a power (sqrt3^2 folds to 3); pi fills each
-    # monomial up to weight k, and a zeta(3) first makes the pi power's
-    # parity that of the sqrt3 count, so most values convert.  A nonzero
-    # shift moves the pi power and hits the rejections: sqrt3 beside an
-    # even pi power, an odd pi power alone, a wrong weight
+    # a repeated symbol is a power (the sqrt3s of repeated S_j(1/3) pair
+    # into 3s); pi fills each monomial up to weight k, and a zeta(3) first
+    # makes the pi power's parity that of the sqrt3 count, so most values
+    # convert.  A nonzero shift moves the pi power and hits the
+    # rejections: sqrt3 beside an even pi power, an odd pi power alone, a
+    # wrong weight
     terms = []
     for coeff, syms, shift in spec:
         factors = [(sym, 1) for sym in syms]
-        s3 = sum(sym == SQRT3 or sym.kind == "S" for sym in syms)
+        s3 = sum(sym.kind == "S" for sym in syms)
         w = sum(sym.weight for sym in syms)
         if (k - w - s3) % 2:
             factors.append((zeta(3), 1))
@@ -312,11 +317,11 @@ def test_to_latex():
 
 @given(st.lists(st.tuples(
     st.fractions(min_value=-5, max_value=5, max_denominator=64),
-    st.sampled_from(["pi", "sqrt3", "zeta3", "S", "C", "L3", "one"]),
+    st.sampled_from(["pi", "zeta3", "S", "C", "L3", "one"]),
     st.integers(1, 3)), max_size=5))
 def test_json_round_trip(spec):
     symbols = {
-        "pi": (PI, 1), "sqrt3": (SQRT3, 1), "zeta3": (zeta(3), 1),
+        "pi": (PI, 1), "zeta3": (zeta(3), 1),
         "S": (clausen_s(2, F(1, 3)), 1), "C": (clausen_c(3, F(2, 5)), 1),
         "L3": (dirichlet_l3(2), 1), "one": (PI, 0),
     }
@@ -331,3 +336,6 @@ def test_json_rejects_garbage():
     with pytest.raises((ValueError, KeyError)):
         from_json('{"terms": [{"num": "1", "den": "1", '
                   '"factors": [{"kind": "zeta", "index": 1, "exp": 1}]}]}')
+    with pytest.raises(ValueError):
+        from_json('{"terms": [{"num": "1", "den": "1", '
+                  '"factors": [{"kind": "sqrt3", "exp": 1}]}]}')

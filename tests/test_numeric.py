@@ -2,7 +2,6 @@
 lattice sums against classical anchors, exact recurrences, brute force
 and themselves (orientation swap), plus bound honesty.
 """
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,16 +10,17 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
 
-from tornheim.constants import (SymbolicValue, PI, SQRT3,
+from tornheim.constants import (SymbolicValue, PI,
                                 clausen_c, clausen_s, dirichlet_l3, zeta)
 from tornheim.numeric import (DEFAULT_PRECISION, Precision, PrecisionError,
                               check_values, eval_constant, eval_symbolic,
                               lattice_sum, verify, _partial_fraction_coeffs)
-import tornheim
 from tornheim import numeric
 from tornheim.g2 import G2Request
 from tornheim.parity import EvalRequest, closed_form
 from tornheim.pfd import G2_FORMS
+
+from conftest import child_env
 
 F = Fraction
 PREC = Precision(digits=30, tolerance=1e-12)
@@ -87,11 +87,22 @@ def test_l3_against_clausen_sum(j):
         assert abs(got - want) <= mp.mpf("1e-33") * abs(want)
 
 
+@pytest.mark.parametrize("digits", [20, 30, 50, 80, 120])
+def test_zeta_is_the_periodic_sum_at_n_one(digits):
+    # zeta(j) = C_j(0) sums zeta(j, 1), which mpmath evaluates by its
+    # Riemann zeta path: the bits match mp.zeta(j) exactly
+    prec = Precision(digits=digits)
+    for j in range(2, 41):
+        with mp.workdps(prec.dps):
+            assert eval_constant(zeta(j), prec)._mpf_ == mp.zeta(j)._mpf_
+
+
 def test_eval_symbolic_mixed_value():
-    v = SymbolicValue.from_terms([(2, [(SQRT3, 1), (PI, 2)])]) \
+    # L(1,chi3) = pi/(3 sqrt3)
+    v = SymbolicValue.from_terms([(2, [(dirichlet_l3(1), 1), (PI, 2)])]) \
         - SymbolicValue.from_terms([(F(1, 3), [(zeta(3), 1)])])
     with mp.workdps(40):
-        want = 2 * mp.sqrt(3) * mp.pi ** 2 - mp.zeta(3) / 3
+        want = 2 * mp.pi ** 3 / (3 * mp.sqrt(3)) - mp.zeta(3) / 3
         assert abs(eval_symbolic(v, PREC) - want) <= mp.mpf("1e-33")
 
 
@@ -242,9 +253,7 @@ def test_zero_cutoff_is_rejected():
               "    n.lattice_sum([(1, 0, 2), (0, 1, 2), (1, 1, 1)], cutoff=0)\n"
               "except ValueError as exc:\n"
               "    print(exc)\n")
-    src = os.path.dirname(os.path.dirname(tornheim.__file__))
-    proc = subprocess.run([sys.executable, "-c", script],
-                          env=dict(os.environ, PYTHONPATH=src),
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "cutoff must be >= 1, not 0\n"
@@ -291,9 +300,7 @@ def test_convergence_and_residue_checks_survive_optimize():
               "    n.lattice_sum([(1, 0, 2), (0, 1, 2), (1, 1, 1)])\n"
               "except RuntimeError as exc:\n"
               "    print(exc)\n")
-    src = os.path.dirname(os.path.dirname(tornheim.__file__))
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          env=dict(os.environ, PYTHONPATH=src),
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=child_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [

@@ -1,7 +1,6 @@
 """Parity engine: generating-series coefficients, the exponential shift
 identity, and closed forms checked exactly and against the numeric
 series oracle."""
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +10,6 @@ from math import comb, factorial, gcd
 import pytest
 from mpmath import mp
 
-import tornheim
 import tornheim.parity as parity
 from tornheim.arith import bernoulli_number
 from tornheim.constants import PI, SymbolicValue, clausen_s, mono_weight, zeta
@@ -19,6 +17,8 @@ from tornheim.numeric import Precision, eval_symbolic, lattice_sum
 from tornheim.parity import (EvalRequest, alpha_coeffs, alpha_tilde_coeffs,
                              closed_form, g_coefficient, term1_coeff,
                              term2_coeff)
+
+from conftest import child_env
 
 F = Fraction
 
@@ -242,6 +242,26 @@ def test_every_block_term_has_an_even_power_of_i(monkeypatch):
                for mono, _ in cst.terms() for sym, _ in mono)
 
 
+def test_writer_skips_zero_weights(monkeypatch):
+    # a (c, s) weight that sums to exactly 0 writes no term, so the writer
+    # reduces no angle for it; a quarter of the weights on this grid are 0
+    xs = []
+    real_terms = parity._real_terms
+
+    def recording(k, e, x, cst):
+        xs.append(x)
+        return real_terms(k, e, x, cst)
+
+    monkeypatch.setattr(parity, "_real_terms", recording)
+    for k in (5, 7, 9):
+        for a in range(1, 6):
+            for b in range(1, 6):
+                for k1 in range(1, k - 1):
+                    for k2 in range(1, k - k1):
+                        closed_form(EvalRequest(a, b, k1, k2, k - k1 - k2))
+    assert xs and all(xs)
+
+
 @pytest.mark.parametrize("a,b,k1,k2,k3", [
     (1, 1, 1, 1, 3), (1, 1, 2, 2, 3), (1, 2, 1, 1, 3), (1, 2, 3, 1, 3),
     (1, 3, 1, 2, 2), (2, 3, 1, 1, 3), (2, 5, 1, 2, 2), (3, 4, 2, 2, 3),
@@ -298,9 +318,7 @@ def test_closed_form_structure():
 
 def _run_optimized(script):
     """stdout of script run under python -O, where asserts are stripped."""
-    src = os.path.dirname(os.path.dirname(tornheim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=child_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
