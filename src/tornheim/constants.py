@@ -93,11 +93,14 @@ Monomial = tuple
 
 
 def _normalize_monomial(factors) -> Monomial:
-    """Merge duplicate symbols; one whose exponents sum below 1 is dropped."""
+    """Merge duplicate symbols; one whose exponents sum to 0 is dropped, and
+    a net negative power is a ValueError."""
     exps: dict[BaseConstant, int] = {}
     for sym, e in factors:
         if e:
             exps[sym] = exps.get(sym, 0) + e
+    if any(e < 0 for e in exps.values()):
+        raise ValueError(f"negative power in monomial {factors!r}")
     return tuple(sorted(((s, e) for s, e in exps.items() if e > 0),
                         key=lambda p: p[0].sort_key))
 
@@ -389,7 +392,10 @@ def from_json_dict(d: dict) -> SymbolicValue:
             num, den = f.get("angle", (0, 1))
             sym = BaseConstant(f["kind"], f.get("index", 0),
                                Fraction(int(num), int(den)))
-            factors.append((sym, f["exp"]))
+            e = f["exp"]
+            if type(e) is not int or e < 1:
+                raise ValueError(f"factor exponent must be an integer >= 1, not {e!r}")
+            factors.append((sym, e))
         terms.append((coeff, factors))
     return SymbolicValue.from_terms(terms)
 

@@ -9,18 +9,18 @@ forms u, w in a term and an eliminator v:
 
 applied to u^-r w^-s until one of u, w disappears from each branch; the
 r + s resulting terms have binomial coefficients and are written directly
-(split_pair).  Every step can be verified as an exact polynomial identity
-in Q[m,n] (verify_step), and the reducer drives a product of forms down
-to the shape m^-e1 n^-e2 (am+bn)^-e3 whose lattice sum is the double
-series zeta_{a,b}(e1,e2,e3), merging equal terms before each level of
-splits.  The product needs a power of n and a form other than m and n;
-a power of m too, unless it has two such forms (each split adds one).
+(split_pair).  Each step is an exact identity of rational functions in m
+and n, decided at degree + 1 points (verify_step); the reducer drives a
+product of forms down to the shape m^-e1 n^-e2 (am+bn)^-e3 whose lattice
+sum is the double series zeta_{a,b}(e1,e2,e3), merging equal terms before
+each level of splits.  The product needs a power of n and a form other than
+m and n; a power of m too, unless it has two such forms (each split adds one).
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 
 
 class LinearForm(namedtuple("LinearForm", "cm cn")):
@@ -157,42 +157,28 @@ def split_pair(t: TermProduct, u: LinearForm, w: LinearForm,
 
 # ------------------------------------------------------ exact verification
 
-def _poly_mul(p1: dict, p2: dict) -> dict:
-    out: dict[tuple[int, int], Fraction] = {}
-    for (a1, b1), v1 in p1.items():
-        for (a2, b2), v2 in p2.items():
-            k = (a1 + a2, b1 + b2)
-            out[k] = out.get(k, Fraction(0)) + v1 * v2
-    return out
-
-
-def _form_power(form: LinearForm, e: int) -> dict:
-    return {(i, e - i): Fraction(comb(e, i) * form.cm ** i * form.cn ** (e - i))
-            for i in range(e + 1)
-            if form.cm ** i * form.cn ** (e - i)}
-
-
 def verify_step(before: TermSum, after: TermSum) -> bool:
-    """True iff the sums agree as rational functions of (m,n), decided by
-    exact polynomial comparison over the common denominator."""
-    degrees: dict[LinearForm, int] = {}
-    for t in tuple(before) + tuple(after):
-        for f, e in t.exponents:
-            degrees[f] = max(degrees.get(f, 0), e)
+    """True iff the sums agree as rational functions of (m,n).
 
-    def numerator(ts: TermSum) -> dict:
-        acc: dict[tuple[int, int], Fraction] = {}
+    A term c prod f^-e of weight w is homogeneous of degree -w, so each
+    weight's part must vanish alone.  Times prod f^top_f (top_f its largest
+    exponent of f) a part is a homogeneous polynomial of degree
+    D = sum top_f - w, zero iff zero at n = 1 and m = 1..D+1; no form
+    cm m + cn (cm, cn >= 0) vanishes there, so the part is evaluated."""
+    parts: dict[int, list] = {}
+    for sign, ts in ((1, before), (-1, after)):
         for t in ts:
-            poly = {(0, 0): t.coeff}
-            for f, dmax in degrees.items():
-                need = dmax - t.exponent(f)
-                if need:
-                    poly = _poly_mul(poly, _form_power(f, need))
-            for k, v in poly.items():
-                acc[k] = acc.get(k, Fraction(0)) + v
-        return {k: v for k, v in acc.items() if v}
-
-    return numerator(before) == numerator(after)
+            parts.setdefault(t.weight, []).append((sign * t.coeff, t.exponents))
+    for w, terms in parts.items():
+        top: dict[LinearForm, int] = {}
+        for _, exps in terms:
+            for f, e in exps:
+                top[f] = max(top.get(f, 0), e)
+        for m in range(1, sum(top.values()) - w + 2):
+            if sum(c / prod((f.cm * m + f.cn) ** e for f, e in exps)
+                   for c, exps in terms):
+                return False
+    return True
 
 
 RewriteStep = namedtuple("RewriteStep", "term u w relation produced")

@@ -57,6 +57,9 @@ def test_base_constant_validation():
 
 def test_monomial_normalization():
     assert sv(2, (PI, 1), (PI, 2)) == sv(2, (PI, 3))
+    assert sv(2, (PI, 1), (PI, -1), (zeta(3), 1)) == sv(2, (zeta(3), 1))
+    with pytest.raises(ValueError):
+        SymbolicValue.from_terms([(2, [(PI, -1), (zeta(3), 1)])])
 
 
 def test_from_terms_equals_the_sum_of_its_terms():
@@ -339,3 +342,7 @@ def test_json_rejects_garbage():
     with pytest.raises(ValueError):
         from_json('{"terms": [{"num": "1", "den": "1", '
                   '"factors": [{"kind": "sqrt3", "exp": 1}]}]}')
+    for exp in ("-2", "0", "1.5", '"1"'):
+        with pytest.raises(ValueError):
+            from_json('{"terms": [{"num": "1", "den": "1", '
+                      '"factors": [{"kind": "pi", "exp": %s}]}]}' % exp)

@@ -3,8 +3,10 @@ the derived relations, and the full reducer."""
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tornheim import pfd
 from tornheim.constants import PI, SymbolicValue, zeta
@@ -149,6 +151,113 @@ def test_verify_step_catches_wrong_coefficient():
     assert not verify_step(TermSum.make([t]), missing)
 
 
+def _verify_by_expansion(before, after):
+    # reference: expand both sides over the common denominator and compare
+    # the numerators as polynomials in Q[m,n]
+    def poly_mul(p1, p2):
+        out = {}
+        for (a1, b1), v1 in p1.items():
+            for (a2, b2), v2 in p2.items():
+                k = (a1 + a2, b1 + b2)
+                out[k] = out.get(k, F(0)) + v1 * v2
+        return out
+
+    def form_power(form, e):
+        return {(i, e - i): F(comb(e, i) * form.cm ** i * form.cn ** (e - i))
+                for i in range(e + 1) if form.cm ** i * form.cn ** (e - i)}
+
+    degrees = {}
+    for t in tuple(before) + tuple(after):
+        for f, e in t.exponents:
+            degrees[f] = max(degrees.get(f, 0), e)
+
+    def numerator(ts):
+        acc = {}
+        for t in ts:
+            poly = {(0, 0): t.coeff}
+            for f, dmax in degrees.items():
+                need = dmax - t.exponent(f)
+                if need:
+                    poly = poly_mul(poly, form_power(f, need))
+            for k, v in poly.items():
+                acc[k] = acc.get(k, F(0)) + v
+        return {k: v for k, v in acc.items() if v}
+
+    return numerator(before) == numerator(after)
+
+
+def _falling(d):
+    # the coefficients a_0..a_d of prod_{i=1..d} (m - i)
+    a = [F(1)]
+    for i in range(1, d + 1):
+        a = [(a[k - 1] if k else 0) - i * (a[k] if k < len(a) else 0)
+             for k in range(len(a) + 1)]
+    return a
+
+
+@pytest.mark.parametrize("before, after, want", [
+    # numerator prod (m - i) vanishes at m = 1..D: D points are not enough
+    *[pytest.param(TermSum.make([tp(a, (FORM_M, d - k), (FORM_N, k))
+                                 for k, a in enumerate(_falling(d))]),
+                   TermSum.make([]), False, id=f"falling-{d}")
+      for d in (1, 3, 6)],
+    # equal at n = 1, but of different weights
+    pytest.param(TermSum.make([tp(1, (FORM_M, 2))]),
+                 TermSum.make([tp(1, (FORM_M, 2), (FORM_N, 1))]), False,
+                 id="weights"),
+    pytest.param(TermSum.make([tp(1, (FORM_M, 1), (FORM_N, 1)),
+                               tp(-1, (FORM_M, 1), (U, 1)),
+                               tp(-1, (FORM_N, 1), (U, 1))]),
+                 TermSum.make([]), True, id="1/(mn)"),
+])
+def test_verify_step_exact_cases(before, after, want):
+    assert verify_step(before, after) is want
+    assert _verify_by_expansion(before, after) is want
+
+
+HYP_FORMS = G2_FORMS + (LinearForm(2, 1), LinearForm(3, 5))
+hyp_sums = st.lists(st.builds(
+    lambda c, exps: TermProduct.make(c, zip(HYP_FORMS, exps)),
+    st.fractions(-9, 9, max_denominator=9),
+    st.lists(st.integers(0, 4), min_size=len(HYP_FORMS),
+             max_size=len(HYP_FORMS))), min_size=1, max_size=5)
+
+
+def _split_first(ts):
+    # ts with its first term that has two forms in n split by derive_relation
+    for i, t in enumerate(ts):
+        in_n = [f for f in t.support if f.cn]
+        if len(in_n) >= 2:
+            u, w = in_n[:2]
+            produced = split_pair(t, u, w, derive_relation(u, w))
+            return ts[:i] + list(produced) + ts[i + 1:]
+    return list(ts)
+
+
+@settings(deadline=None)
+@given(hyp_sums, hyp_sums,
+       st.sampled_from(["other", "split", "perturb", "drop", "reweight"]),
+       st.data())
+def test_verify_step_matches_expansion(terms, other, kind, data):
+    before = TermSum.make(terms)
+    after = _split_first(list(before))
+    if kind == "other":
+        after = other
+    elif after and kind != "split":
+        i = data.draw(st.integers(0, len(after) - 1))
+        t = after[i]
+        if kind == "perturb":
+            delta = data.draw(st.fractions(1, 3, max_denominator=3))
+            t = TermProduct(t.coeff + delta, t.exponents)
+        elif kind == "reweight":     # same value at n = 1, weight one higher
+            t = TermProduct.make(t.coeff, t.exponents + ((FORM_N, 1),))
+        after = after[:i] + ([] if kind == "drop" else [t]) + after[i + 1:]
+    after = TermSum(after)
+    want = _verify_by_expansion(before, after)
+    assert verify_step(before, after) is want
+    assert want or kind != "split"      # a split is always an identity
+
+
 # --------------------------------------------------------------- reducer
 
 def test_reduce_full_g2_product():
@@ -249,7 +358,7 @@ def test_trace_json_shape():
 
 def test_random_products_reduce_verified():
     # seeded sample of in-contract products; every traced step re-verified
-    # against the exact polynomial identity, plus the end-to-end identity
+    # as an exact identity, plus the end-to-end identity
     rng = random.Random(411)
     for _ in range(60):
         weight = rng.randint(4, 9)
