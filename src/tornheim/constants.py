@@ -383,15 +383,23 @@ def to_json_dict(v: SymbolicValue) -> dict:
     return {"terms": terms}
 
 
+def _json_fraction(num, den) -> Fraction:
+    if int(den) == 0:
+        raise ValueError(f"zero denominator in {num}/{den}")
+    return Fraction(int(num), int(den))
+
+
 def from_json_dict(d: dict) -> SymbolicValue:
     terms = []
     for t in d["terms"]:
-        coeff = Fraction(int(t["num"]), int(t["den"]))
+        coeff = _json_fraction(t["num"], t["den"])
         factors = []
         for f in t["factors"]:
+            index = f.get("index", 0)
+            if type(index) is not int:
+                raise ValueError(f"constant index must be an integer, not {index!r}")
             num, den = f.get("angle", (0, 1))
-            sym = BaseConstant(f["kind"], f.get("index", 0),
-                               Fraction(int(num), int(den)))
+            sym = BaseConstant(f["kind"], index, _json_fraction(num, den))
             e = f["exp"]
             if type(e) is not int or e < 1:
                 raise ValueError(f"factor exponent must be an integer >= 1, not {e!r}")

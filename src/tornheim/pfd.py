@@ -9,12 +9,12 @@ forms u, w in a term and an eliminator v:
 
 applied to u^-r w^-s until one of u, w disappears from each branch; the
 r + s resulting terms have binomial coefficients and are written directly
-(split_pair).  Each step is an exact identity of rational functions in m
-and n, decided at degree + 1 points (verify_step); the reducer drives a
-product of forms down to the shape m^-e1 n^-e2 (am+bn)^-e3 whose lattice
-sum is the double series zeta_{a,b}(e1,e2,e3), merging equal terms before
-each level of splits.  The product needs a power of n and a form other than
-m and n; a power of m too, unless it has two such forms (each split adds one).
+(split_pair).  The reducer drives a product of forms down to the shape
+m^-e1 n^-e2 (am+bn)^-e3 whose lattice sum is zeta_{a,b}(e1,e2,e3), merging
+equal terms before each level of splits, and proves its result equal to its
+input once, exactly, at degree + 1 points (verify_step).  The product needs
+a power of n and a form other than m and n; a power of m too, unless it has
+two such forms (each split adds one).
 """
 from __future__ import annotations
 
@@ -227,8 +227,8 @@ def reduce_to_tornheim(ts: TermSum, trace: list | None = None) -> TermSum:
     eliminated through m with derive_relation.  A split trades one
     non-basis form for m, so one level per distinct non-basis form of the
     input suffices; a term with two of them left after the last level
-    means the relations do not shrink the support.  Each step is verified
-    exactly, and each result term by tornheim_parameters.
+    means the relations do not shrink the support.  tornheim_parameters
+    checks each result term, and one exact verify_step proves result == ts.
     """
     done, level = [], list(ts)
     for _ in range(len({f for t in ts for f in _nonbasis(t)})):
@@ -241,8 +241,6 @@ def reduce_to_tornheim(ts: TermSum, trace: list | None = None) -> TermSum:
             u, w = nonbasis[0], nonbasis[1]
             rel = derive_relation(u, w)
             produced = split_pair(t, u, w, rel)
-            if not verify_step(TermSum.make([t]), produced):
-                raise RuntimeError(f"rewrite step failed exact verification on {t}")
             if trace is not None:
                 trace.append(RewriteStep(t, u, w, rel, produced))
             pieces.extend(produced)
@@ -252,4 +250,6 @@ def reduce_to_tornheim(ts: TermSum, trace: list | None = None) -> TermSum:
     result = TermSum.make(done + level)
     for t in result:
         tornheim_parameters(t)
+    if not verify_step(ts, result):
+        raise RuntimeError("reduction failed exact verification against its input")
     return result

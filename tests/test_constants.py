@@ -346,3 +346,16 @@ def test_json_rejects_garbage():
         with pytest.raises(ValueError):
             from_json('{"terms": [{"num": "1", "den": "1", '
                       '"factors": [{"kind": "pi", "exp": %s}]}]}' % exp)
+
+
+@pytest.mark.parametrize("term", [
+    '{"num": "1", "den": "1", "factors": [{"kind": "zeta", "index": 3.5, "exp": 1}]}',
+    '{"num": "1", "den": "1", "factors": [{"kind": "zeta", "index": "3", "exp": 1}]}',
+    '{"num": "1", "den": "1", "factors": [{"kind": "L3", "index": true, "exp": 1}]}',
+    '{"num": "1", "den": "0", "factors": [{"kind": "pi", "exp": 1}]}',
+    '{"num": "1", "den": "1", "factors": [{"kind": "S", "index": 2, '
+    '"angle": ["1", "0"], "exp": 1}]}',
+], ids=["float-index", "string-index", "bool-index", "zero-den", "zero-angle-den"])
+def test_json_rejects_malformed_factors(term):
+    with pytest.raises(ValueError):
+        from_json('{"terms": [%s]}' % term)

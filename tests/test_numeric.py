@@ -20,7 +20,7 @@ from tornheim.g2 import G2Request
 from tornheim.parity import EvalRequest, closed_form
 from tornheim.pfd import G2_FORMS
 
-from conftest import child_env
+from conftest import child_env, run_optimized
 
 F = Fraction
 PREC = Precision(digits=30, tolerance=1e-12)
@@ -300,10 +300,7 @@ def test_convergence_and_residue_checks_survive_optimize():
               "    n.lattice_sum([(1, 0, 2), (0, 1, 2), (1, 1, 1)])\n"
               "except RuntimeError as exc:\n"
               "    print(exc)\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=child_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+    assert run_optimized(script).splitlines() == [
         "inner sum does not converge", "outer sum does not converge",
         "outer sum does not converge",
         "residues of the 1/u parts do not sum to zero"]

@@ -1,8 +1,6 @@
 """Parity engine: generating-series coefficients, the exponential shift
 identity, and closed forms checked exactly and against the numeric
 series oracle."""
-import subprocess
-import sys
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd
@@ -18,7 +16,7 @@ from tornheim.parity import (EvalRequest, alpha_coeffs, alpha_tilde_coeffs,
                              closed_form, g_coefficient, term1_coeff,
                              term2_coeff)
 
-from conftest import child_env
+from conftest import run_optimized
 
 F = Fraction
 
@@ -316,14 +314,6 @@ def test_closed_form_structure():
             assert 0 <= n <= (k - 3) // 2
 
 
-def _run_optimized(script):
-    """stdout of script run under python -O, where asserts are stripped."""
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=child_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def test_weight_homogeneity_check_survives_optimize():
     # the check must raise even where asserts are stripped
     script = ("import tornheim.parity as p\n"
@@ -332,7 +322,7 @@ def test_weight_homogeneity_check_survives_optimize():
               "    p.closed_form(p.EvalRequest(1, 1, 1, 1, 3))\n"
               "except RuntimeError as exc:\n"
               "    print(exc)\n")
-    assert "weight homogeneity broken" in _run_optimized(script)
+    assert "weight homogeneity broken" in run_optimized(script)
 
 
 def test_odd_power_of_i_check_survives_optimize():
@@ -345,7 +335,7 @@ def test_odd_power_of_i_check_survives_optimize():
               "    p.closed_form(req)\n"
               "except RuntimeError as exc:\n"
               "    print(exc)\n")
-    assert "odd power i^1" in _run_optimized(script)
+    assert "odd power i^1" in run_optimized(script)
 
 
 def test_closed_form_insensitive_to_constant_block_convention(monkeypatch):

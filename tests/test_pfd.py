@@ -10,12 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from tornheim import pfd
 from tornheim.constants import PI, SymbolicValue, zeta
+from tornheim.g2 import G2Request, request_term_sum
 from tornheim.numeric import Precision, verify
 from tornheim.parity import EvalRequest, closed_form
 from tornheim.pfd import (FORM_M, FORM_N, G2_FORMS, G2_TARGETS, LinearForm,
                           Relation, TermProduct, TermSum, derive_relation,
                           reduce_to_tornheim, relation_scale, split_pair,
                           tornheim_parameters, trace_to_json, verify_step)
+
+from conftest import run_optimized
 
 F = Fraction
 U, W = LinearForm(1, 1), LinearForm(1, 2)
@@ -374,3 +377,51 @@ def test_random_products_reduce_verified():
         for st in trace:
             assert verify_step(TermSum.make([st.term]), st.produced)
         assert verify_step(TermSum.make([t]), out)
+
+
+# reduce_to_tornheim proves each reduction once, end to end, by one
+# verify_step; the tests below pin that proof
+
+HEAVY = [(1, 1, 1, 1, 1, 38), (7, 7, 7, 7, 7, 8), (5, 5, 5, 5, 5, 6),
+         (1, 2, 4, 7, 10, 1)]
+
+
+@pytest.mark.parametrize("ks", HEAVY)
+def test_end_to_end_check_rejects_broken_large_reduction(ks):
+    ts = request_term_sum(G2Request(ks))
+    reduced = list(reduce_to_tornheim(ts))
+    first = reduced[0]
+    scaled = TermProduct(first.coeff * (1 + F(1, 10 ** 12)), first.exponents)
+    assert verify_step(ts, TermSum(reduced)) is True
+    assert verify_step(ts, TermSum(reduced[:-1])) is False
+    assert verify_step(ts, TermSum([scaled] + reduced[1:])) is False
+
+
+def test_wrong_split_makes_reducer_raise(monkeypatch):
+    split = pfd.split_pair
+
+    def wrong(*args):
+        out = split(*args)
+        t = TermProduct(2 * out[0].coeff, out[0].exponents)
+        return TermSum((t,) + out[1:])
+
+    monkeypatch.setattr(pfd, "split_pair", wrong)
+    with pytest.raises(RuntimeError, match="exact verification"):
+        reduce_to_tornheim(request_term_sum(G2Request((1, 1, 1, 1, 1, 2))))
+
+
+def test_wrong_split_makes_reducer_raise_under_optimize():
+    # the check must raise even where asserts are stripped
+    script = ("import tornheim.pfd as p\n"
+              "from tornheim.g2 import G2Request, request_term_sum\n"
+              "split = p.split_pair\n"
+              "def wrong(*args):\n"
+              "    out = split(*args)\n"
+              "    t = p.TermProduct(2 * out[0].coeff, out[0].exponents)\n"
+              "    return p.TermSum((t,) + out[1:])\n"
+              "p.split_pair = wrong\n"
+              "try:\n"
+              "    p.reduce_to_tornheim(request_term_sum(G2Request((1, 1, 1, 1, 1, 2))))\n"
+              "except RuntimeError as exc:\n"
+              "    print(exc)\n")
+    assert "exact verification" in run_optimized(script)
