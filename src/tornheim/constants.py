@@ -384,6 +384,9 @@ def to_json_dict(v: SymbolicValue) -> dict:
 
 
 def _json_fraction(num, den) -> Fraction:
+    if not all(type(x) is int or type(x) is str and x.lstrip("-").isdigit()
+               for x in (num, den)):
+        raise ValueError(f"fraction parts must be integers, not {num!r}/{den!r}")
     if int(den) == 0:
         raise ValueError(f"zero denominator in {num}/{den}")
     return Fraction(int(num), int(den))

@@ -1,38 +1,39 @@
 """High-precision numeric evaluation: the independent oracle against
 which every symbolic identity is checked.
 
-Lattice sums sum_{m,n>=1} prod_f (cm_f*m + cn_f*n)^(-beta_f) are
-evaluated by summing the inner variable exactly: partial fractions turn
-each inner sum into Hurwitz zeta and digamma values with exact rational
-coefficients.  The shift-0 terms do not depend on the outer variable,
-so their outer sum is exact.  Every other term is summed to a cutoff M,
-and its tail is one Euler-Maclaurin series in zeta(r, M+1), psi(1+qm)
-being the j = 1 case of zeta(j, 1+qm): exact rational coefficients,
-plus a log q term and a zeta'(r0, M+1) term at the lowest power r0.
-The reported tail bound is the first omitted term of each expansion
-(valid because the summands are completely monotone).  Results carry a
-rigorous bound or the evaluation raises; there is no silent truncation.
+A lattice sum sum_{m,n>=1} prod_f (cm_f*m + cn_f*n)^(-beta_f) is summed
+exactly over its inner variable.  `_oriented` reads each factor once for
+that orientation: cm*m + cn*n = cn*(n + (cm/cn)*m), or a bare cm*m
+counted in the outer power A, with cn^-beta (or cm^-beta) in one
+rational prefactor.  Exact partial fractions turn each inner sum into
+Hurwitz zeta and digamma values.  Shift-0 terms do not depend on the
+outer variable, so their outer sum is exact, zeta(j) zeta(A+B-j) with
+Euler's gamma for zeta(1), read from mpmath directly.  Every other term
+is summed to a cutoff M; its tail is one Euler-Maclaurin series in
+zeta(r, M+1) (psi(1+qm) is the j = 1 case of zeta(j, 1+qm)) with exact
+rational coefficients, plus a log q term and a zeta'(r0, M+1) term at
+the lowest power r0.  The tail bound is the first omitted term of each
+expansion (the summands are completely monotone): results carry a
+rigorous bound or the evaluation raises; nothing is silently truncated.
 
-Every Hurwitz value comes from `_hurwitz(j, x, dps)`: zeta(j, x), or
--psi(x) at j = 1, at an exact rational x converted to mpf once, memoized
-by (j, x, derivative order, dps).  The tail's zeta(r, M+1) and
-zeta'(r0, M+1), its bound and `eval_constant`'s zeta(j, r/N) (zeta(j)
-is zeta(j, 1)) share one process-wide table, `_hurwitz_table`.  The
-head's zeta(j, 1+qm) and -psi(1+qm) go to a table made per `lattice_sum`
-call and dropped when it returns, since a process-wide one would keep
-every (j, 1+qm) the process ever summed; shifts whose arguments coincide
-(the G2 sum's 1, 2, 3 and 3/2 share 1+24 = 1+2*12 = 1+3*8 = 1+(3/2)*16)
-and the m <= M of an escalating call's earlier passes cost one call
-each.  Each pass converts its partial-fraction coefficients to mpf once,
-and forms each shift's exact argument and each distinct power of m once
-per m.
+Every other Hurwitz value comes from `_hurwitz(j, x, dps)`: zeta(j, x),
+or -psi(x) at j = 1, at an exact rational x converted to mpf once and
+memoized by (j, x, derivative order, dps).  The tail's values, its
+bound's and `eval_constant`'s zeta(j, r/N) share the process-wide
+`_hurwitz_table`.  The head's zeta(j, 1+qm) and -psi(1+qm) go to a
+table made per `lattice_sum` call, since a process-wide one would keep
+every (j, 1+qm) ever summed; coinciding arguments (the G2 shifts 1, 2,
+3 and 3/2 share 1+24 = 1+2*12 = 1+3*8 = 1+(3/2)*16) and an escalating
+call's earlier passes cost one call each.  Each pass converts its
+coefficients to mpf once, and forms each shift's argument and each
+distinct power of m once per m.
 """
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, gcd, ceil, log10, perm, prod
+from math import comb, factorial, ceil, log10, perm
 
 from mpmath import mp
 
@@ -184,28 +185,26 @@ def _partial_fraction_coeffs(shifts_betas):
     return out
 
 
-def _normalize_factors(factors):
-    """[(cm, cn, beta)] -> primitive merged forms and a rational prefactor."""
-    merged: dict[tuple, int] = {}
-    scale = Fraction(1)
+def _oriented(factors, swap):
+    """[(cm, cn, beta)] -> (A, {shift: beta}, prefactor), n summed exactly
+    (m if `swap`): cm*m + cn*n = cn*(n + (cm/cn)*m) with cn^-beta in the
+    prefactor, or cm*m, counted in A, with cm^-beta when cn = 0."""
+    A, shifts, pref = 0, defaultdict(int), Fraction(1)
     for cm, cn, beta in factors:
         if cm < 0 or cn < 0 or (cm, cn) == (0, 0) or beta < 1:
             raise ValueError(f"bad factor ({cm},{cn})^{beta}")
-        g = gcd(cm, cn)
-        scale *= Fraction(g) ** (-beta)
-        key = (cm // g, cn // g)
-        merged[key] = merged.get(key, 0) + beta
-    return merged, scale
+        cm, cn = (cn, cm) if swap else (cm, cn)
+        if cn:
+            shifts[Fraction(cm, cn)] += beta
+        else:
+            A += beta
+        pref *= Fraction(cn or cm) ** -beta
+    return A, dict(shifts), pref
 
 
-def _lattice_pass(merged, scale, dps, M, K, heads):
-    """One evaluation at cutoff M; returns (value, tail_bound).  Reads and
-    extends `heads`, the calling `lattice_sum`'s table of head values."""
-    # the forms are primitive and distinct: the bare-m form is (1, 0), and
-    # every other form has its own shift cm/cn
-    A = merged.get((1, 0), 0)
-    shifts = {Fraction(cm, cn): b for (cm, cn), b in merged.items() if cn}
-    cn_scale = prod(Fraction(cn) ** -b for (_, cn), b in merged.items() if cn)
+def _lattice_pass(A, shifts, pref, dps, M, K, heads):
+    """One pass at cutoff M: (value, tail_bound) of pref * sum_{m,n>=1}
+    m^-A prod_q (n+q*m)^-shifts[q], reading and extending `heads`."""
     B = sum(shifts.values())
     if B < 2:
         raise ValueError("inner sum does not converge")
@@ -280,8 +279,7 @@ def _lattice_pass(merged, scale, dps, M, K, heads):
             if val:
                 tail += val * _hurwitz(r, M + 1, dps, derivative)
 
-        pref = mpq(scale * cn_scale)
-        return (shift0 + head + tail) * pref, abs(bound * pref)
+        return (shift0 + head + tail) * mpq(pref), abs(bound * mpq(pref))
 
 
 def lattice_sum(factors, precision: Precision = DEFAULT_PRECISION,
@@ -295,28 +293,22 @@ def lattice_sum(factors, precision: Precision = DEFAULT_PRECISION,
     `swap` forces it; `cutoff` seeds the outer cutoff M, which doubles
     until the bound meets tolerance.
     """
-    merged, scale = _normalize_factors(factors)
-
-    def min_shift(forms) -> Fraction:  # with n the exactly summed variable
-        return min((Fraction(cm, cn) for cm, cn in forms if cm and cn),
-                   default=Fraction(1))
-
-    swapped = {(cn, cm): b for (cm, cn), b in merged.items()}
+    factors = list(factors)
+    forms = {s: _oriented(factors, s) for s in (False, True)}
+    qmin = {s: min(filter(None, f[1]), default=1) for s, f in forms.items()}
     if swap is None:
-        swap = min_shift(swapped) > min_shift(merged)
-    if swap:
-        merged = swapped
-    qmin = min_shift(merged)
+        swap = qmin[True] > qmin[False]
+    A, shifts, pref = forms[swap]
 
     if cutoff is not None and cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, not {cutoff}")
     if order < 0:
         raise ValueError(f"order must be >= 0, not {order}")
-    M = cutoff if cutoff is not None else max(40, int(24 / qmin) + 1)
+    M = cutoff if cutoff is not None else max(40, int(24 / qmin[swap]) + 1)
     heads: dict[tuple, object] = {}  # head values, for this call only
     while True:
-        value, bound = _lattice_pass(merged, scale, precision.dps, M, order,
-                                     heads)
+        value, bound = _lattice_pass(A, shifts, pref, precision.dps, M,
+                                     order, heads)
         target = mp.mpf(precision.tolerance) * max(abs(value), _ABS_FLOOR)
         if bound <= target:
             return value, bound, M

@@ -226,9 +226,9 @@ def reduce_to_tornheim(ts: TermSum, trace: list | None = None) -> TermSum:
     then in every term the two smallest distinct non-basis forms are
     eliminated through m with derive_relation.  A split trades one
     non-basis form for m, so one level per distinct non-basis form of the
-    input suffices; a term with two of them left after the last level
-    means the relations do not shrink the support.  tornheim_parameters
-    checks each result term, and one exact verify_step proves result == ts.
+    input suffices.  tornheim_parameters checks each result term, which
+    rejects one with two non-basis forms left, and one exact verify_step
+    proves result == ts.
     """
     done, level = [], list(ts)
     for _ in range(len({f for t in ts for f in _nonbasis(t)})):
@@ -245,8 +245,6 @@ def reduce_to_tornheim(ts: TermSum, trace: list | None = None) -> TermSum:
                 trace.append(RewriteStep(t, u, w, rel, produced))
             pieces.extend(produced)
         level = pieces
-    if any(len(_nonbasis(t)) > 1 for t in level):
-        raise RuntimeError("rewrite exceeded its step budget")
     result = TermSum.make(done + level)
     for t in result:
         tornheim_parameters(t)

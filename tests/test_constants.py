@@ -355,7 +355,12 @@ def test_json_rejects_garbage():
     '{"num": "1", "den": "0", "factors": [{"kind": "pi", "exp": 1}]}',
     '{"num": "1", "den": "1", "factors": [{"kind": "S", "index": 2, '
     '"angle": ["1", "0"], "exp": 1}]}',
-], ids=["float-index", "string-index", "bool-index", "zero-den", "zero-angle-den"])
+    '{"num": 1.5, "den": 1, "factors": [{"kind": "pi", "exp": 1}]}',
+    '{"num": 1, "den": true, "factors": [{"kind": "pi", "exp": 1}]}',
+    '{"num": "1", "den": "1", "factors": [{"kind": "C", "index": 3, '
+    '"angle": [1.5, 4], "exp": 1}]}',
+], ids=["float-index", "string-index", "bool-index", "zero-den", "zero-angle-den",
+        "float-num", "bool-den", "float-angle"])
 def test_json_rejects_malformed_factors(term):
     with pytest.raises(ValueError):
         from_json('{"terms": [%s]}' % term)

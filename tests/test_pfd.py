@@ -333,7 +333,8 @@ def test_reduce_needs_a_power_of_n():
 
 def test_reduce_watchdog_stops_cycling_relations(monkeypatch):
     # a consistent but non-decreasing table: each pair eliminates into the
-    # third target form, so the set never shrinks
+    # third target form, so the set never shrinks and the shape check on
+    # the result rejects the terms left after the last level
     V3 = LinearForm(1, 3)
     cyclic = {
         (U, W): Relation(F(-1), F(2), V3),          # -(m+n)+2(m+2n) = m+3n
@@ -343,7 +344,7 @@ def test_reduce_watchdog_stops_cycling_relations(monkeypatch):
     ts = TermSum.make([tp(1, (FORM_M, 1), (FORM_N, 1),
                           (U, 1), (W, 1), (V3, 1))])
     monkeypatch.setattr(pfd, "derive_relation", lambda u, w: cyclic[(u, w)])
-    with pytest.raises(RuntimeError, match="step budget"):
+    with pytest.raises(ValueError, match="not in double-series shape"):
         reduce_to_tornheim(ts)
 
 
