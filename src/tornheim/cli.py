@@ -150,6 +150,8 @@ def cmd_eval(parser, args) -> int:
 
 
 def cmd_g2(parser, args) -> int:
+    if args.show_reduction and args.format == "latex":
+        parser.error("--show-reduction has no LaTeX output; use text or json")
     req = _usage_checked(parser, G2Request, tuple(args.k))
     prec = _precision(parser, args)
     result, checks = _evaluate(parser, req, prec, trace=args.show_reduction)

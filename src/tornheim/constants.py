@@ -393,21 +393,25 @@ def _json_fraction(num, den) -> Fraction:
 
 
 def from_json_dict(d: dict) -> SymbolicValue:
+    """The value of a to_json_dict record; ValueError for a malformed one."""
     terms = []
-    for t in d["terms"]:
-        coeff = _json_fraction(t["num"], t["den"])
-        factors = []
-        for f in t["factors"]:
-            index = f.get("index", 0)
-            if type(index) is not int:
-                raise ValueError(f"constant index must be an integer, not {index!r}")
-            num, den = f.get("angle", (0, 1))
-            sym = BaseConstant(f["kind"], index, _json_fraction(num, den))
-            e = f["exp"]
-            if type(e) is not int or e < 1:
-                raise ValueError(f"factor exponent must be an integer >= 1, not {e!r}")
-            factors.append((sym, e))
-        terms.append((coeff, factors))
+    try:
+        for t in d["terms"]:
+            coeff = _json_fraction(t["num"], t["den"])
+            factors = []
+            for f in t["factors"]:
+                index = f.get("index", 0)
+                if type(index) is not int:
+                    raise ValueError(f"constant index must be an integer, not {index!r}")
+                num, den = f.get("angle", (0, 1))
+                sym = BaseConstant(f["kind"], index, _json_fraction(num, den))
+                e = f["exp"]
+                if type(e) is not int or e < 1:
+                    raise ValueError(f"factor exponent must be an integer >= 1, not {e!r}")
+                factors.append((sym, e))
+            terms.append((coeff, factors))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed value record: {exc!r}") from exc
     return SymbolicValue.from_terms(terms)
 
 

@@ -2,10 +2,10 @@
 forms cm*m + cn*n.
 
 A TermSum is a Q-linear combination of products prod_f f^(-e_f).  The
-atomic rewrite uses an exact relation alpha*u + beta*w = c*v between two
-forms u, w in a term and an eliminator v:
+atomic rewrite eliminates two forms u, w of a term through m: with
+d = u.cm w.cn - u.cn w.cm != 0, (w.cn) u - (u.cn) w = d m, so
 
-    1/(u w) = (1/(c v)) (alpha/w + beta/u)
+    1/(u w) = (1/m) (a/w + b/u),    a = w.cn/d, b = -u.cn/d,
 
 applied to u^-r w^-s until one of u, w disappears from each branch; the
 r + s resulting terms have binomial coefficients and are written directly
@@ -33,43 +33,12 @@ class LinearForm(namedtuple("LinearForm", "cm cn")):
             raise ValueError("forms are stored primitive; carry the gcd in the coefficient")
         return super().__new__(cls, cm, cn)
 
-    def __str__(self):
-        parts = []
-        if self.cm:
-            parts.append("m" if self.cm == 1 else f"{self.cm}m")
-        if self.cn:
-            parts.append("n" if self.cn == 1 else f"{self.cn}n")
-        return "+".join(parts)
-
 
 FORM_M = LinearForm(1, 0)
 FORM_N = LinearForm(0, 1)
 G2_TARGETS = (LinearForm(1, 1), LinearForm(1, 2), LinearForm(1, 3),
               LinearForm(2, 3))
 G2_FORMS = (FORM_M, FORM_N) + G2_TARGETS
-
-
-# alpha*u + beta*w = c*v for an ordered pair (u,w); c > 0 is derived
-# from the coefficients and checked exactly at use time
-Relation = namedtuple("Relation", "alpha beta v")
-
-
-def relation_scale(u: LinearForm, w: LinearForm, rel: Relation) -> Fraction:
-    sm = rel.alpha * u.cm + rel.beta * w.cm
-    sn = rel.alpha * u.cn + rel.beta * w.cn
-    c = sm / rel.v.cm if rel.v.cm else sn / rel.v.cn
-    if c <= 0 or sm != c * rel.v.cm or sn != c * rel.v.cn:
-        raise ValueError(
-            f"relation not exactly satisfied: {rel.alpha}({u}) + {rel.beta}({w}) "
-            f"is not a positive multiple of {rel.v}")
-    return c
-
-
-def derive_relation(u: LinearForm, w: LinearForm) -> Relation:
-    """The relation +-((w.cn) u - (u.cn) w) = c m that eliminates n, with
-    the sign that makes c = |u.cm w.cn - u.cn w.cm| positive."""
-    sign = 1 if u.cm * w.cn > u.cn * w.cm else -1
-    return Relation(Fraction(sign * w.cn), Fraction(-sign * u.cn), FORM_M)
 
 
 RELATIONS_DOC = ("g2-relations/2: for the two smallest non-basis forms u, w "
@@ -95,10 +64,6 @@ class TermProduct(namedtuple("TermProduct", "coeff exponents")):
             if f == form:
                 return e
         return 0
-
-    @property
-    def support(self) -> tuple[LinearForm, ...]:
-        return tuple(f for f, _ in self.exponents)
 
     @property
     def weight(self) -> int:
@@ -128,29 +93,27 @@ class TermSum(tuple):
         return cls(kept)
 
 
-def split_pair(t: TermProduct, u: LinearForm, w: LinearForm,
-               relation: Relation) -> TermSum:
-    """Eliminate the (u,w) pair from t using alpha*u + beta*w = c*v;
-    output terms carry pairs (v,u) or (v,w) only, weights preserved.
+def split_pair(t: TermProduct, u: LinearForm, w: LinearForm) -> TermSum:
+    """Eliminate the (u,w) pair from t through m; output terms carry
+    pairs (m,u) or (m,w) only, weights preserved.
 
-    With a = alpha/c, b = beta/c and r, s the exponents of u, w, the
-    r + s terms are written directly:
+    With a = w.cn/d, b = -u.cn/d (d = u.cm w.cn - u.cn w.cm) and r, s the
+    exponents of u, w, the r + s terms are written directly:
 
-      u^-r w^-s = sum_{j<s} C(r-1+j, j) a^r b^j v^-(r+j) w^-(s-j)
-                + sum_{i<r} C(s-1+i, i) a^i b^s v^-(s+i) u^-(r-i)
+      u^-r w^-s = sum_{j<s} C(r-1+j, j) a^r b^j m^-(r+j) w^-(s-j)
+                + sum_{i<r} C(s-1+i, i) a^i b^s m^-(s+i) u^-(r-i)
     """
     r, s = t.exponent(u), t.exponent(w)
-    if u == w or r < 1 or s < 1:
+    d = u.cm * w.cn - u.cn * w.cm
+    if r < 1 or s < 1 or not d:
         raise ValueError("term must contain two distinct forms u, w")
-    c = relation_scale(u, w, relation)
-    a, b = relation.alpha / c, relation.beta / c
+    a, b = Fraction(w.cn, d), Fraction(-u.cn, d)
     rest = [(f, e) for f, e in t.exponents if f != u and f != w]
-    v = relation.v
     out = [TermProduct.make(t.coeff * comb(r - 1 + j, j) * a ** r * b ** j,
-                            rest + [(v, r + j), (w, s - j)])
+                            rest + [(FORM_M, r + j), (w, s - j)])
            for j in range(s)]
     out += [TermProduct.make(t.coeff * comb(s - 1 + i, i) * a ** i * b ** s,
-                             rest + [(v, s + i), (u, r - i)])
+                             rest + [(FORM_M, s + i), (u, r - i)])
             for i in range(r)]
     return TermSum.make(out)
 
@@ -181,7 +144,7 @@ def verify_step(before: TermSum, after: TermSum) -> bool:
     return True
 
 
-RewriteStep = namedtuple("RewriteStep", "term u w relation produced")
+RewriteStep = namedtuple("RewriteStep", "term u w produced")
 
 
 def _term_json(t: TermProduct) -> dict:
@@ -191,14 +154,16 @@ def _term_json(t: TermProduct) -> dict:
 
 
 def trace_to_json(trace) -> list:
+    """Each step as JSON; its relation is alpha u + beta w = c m, c > 0."""
     out = []
     for st in trace:
-        rel = st.relation
+        u, w = st.u, st.w
+        sign = 1 if u.cm * w.cn - u.cn * w.cm > 0 else -1
         out.append({
             "term": _term_json(st.term),
-            "pair": [[st.u.cm, st.u.cn], [st.w.cm, st.w.cn]],
-            "relation": {"alpha": str(rel.alpha), "beta": str(rel.beta),
-                         "v": [rel.v.cm, rel.v.cn]},
+            "pair": [[u.cm, u.cn], [w.cm, w.cn]],
+            "relation": {"alpha": str(sign * w.cn), "beta": str(-sign * u.cn),
+                         "v": [1, 0]},
             "produced": [_term_json(t) for t in st.produced],
         })
     return out
@@ -224,7 +189,7 @@ def reduce_to_tornheim(ts: TermSum, trace: list | None = None) -> TermSum:
 
     Deterministic strategy, one level at a time: equal terms are merged,
     then in every term the two smallest distinct non-basis forms are
-    eliminated through m with derive_relation.  A split trades one
+    eliminated through m by split_pair.  A split trades one
     non-basis form for m, so one level per distinct non-basis form of the
     input suffices.  tornheim_parameters checks each result term, which
     rejects one with two non-basis forms left, and one exact verify_step
@@ -239,10 +204,9 @@ def reduce_to_tornheim(ts: TermSum, trace: list | None = None) -> TermSum:
                 done.append(t)
                 continue
             u, w = nonbasis[0], nonbasis[1]
-            rel = derive_relation(u, w)
-            produced = split_pair(t, u, w, rel)
+            produced = split_pair(t, u, w)
             if trace is not None:
-                trace.append(RewriteStep(t, u, w, rel, produced))
+                trace.append(RewriteStep(t, u, w, produced))
             pieces.extend(produced)
         level = pieces
     result = TermSum.make(done + level)

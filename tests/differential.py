@@ -4,11 +4,12 @@ that shares no method with either.
 
 The grid is seeded (`random.Random(11)`): four requests
 zeta_{a,b}(k1,k2,k3) at each weight 5, 9, ..., 25, with 1 <= a, b <= 8.
-Each side is evaluated at 30 and at 50 digits (plus its 10 guard
+Each side is evaluated at 30, 50 and 100 digits (plus its 10 guard
 digits), the integral at 20 digits more.  The JSON on stdout gives, per
 request and precision, how many digits of each side agree with the
-integral.  It takes about 40 s on a two-core machine and is not a test
-module, so pytest does not collect it; run it from the repository root:
+integral.  It takes about 3 minutes on a two-core machine, most of it
+at 100 digits, and is not a test module, so pytest does not collect it;
+run it from the repository root:
 
     PYTHONPATH=src python tests/differential.py > differential.json
 """
@@ -26,7 +27,7 @@ from tornheim.parity import EvalRequest, closed_form
 from conftest import integral_reference
 
 SEED = 11
-DIGITS = (30, 50)
+DIGITS = (30, 50, 100)
 GUARD = 20  # the integral's extra digits
 
 

@@ -240,6 +240,13 @@ def test_g2_latex_prints_both_bases():
     ]
 
 
+def test_g2_show_reduction_has_no_latex_format():
+    code, out, err = run_cli("g2", "--k", "1", "1", "1", "1", "1", "2",
+                             "--show-reduction", "--format", "latex")
+    assert code == 2
+    assert out == "" and "--show-reduction has no LaTeX output" in err
+
+
 CHECK_KEYS = {"label", "lhs", "rhs", "abs_residual", "rel_residual",
               "tolerance", "digits", "passed", "cutoff", "tail_bound"}
 

@@ -1,5 +1,5 @@
 """Partial-fraction rewriting: the atomic split, exact step verification,
-the derived relations, and the full reducer."""
+the trace's relations, and the full reducer."""
 import itertools
 import random
 from fractions import Fraction
@@ -14,19 +14,26 @@ from tornheim.g2 import G2Request, request_term_sum
 from tornheim.numeric import Precision, verify
 from tornheim.parity import EvalRequest, closed_form
 from tornheim.pfd import (FORM_M, FORM_N, G2_FORMS, G2_TARGETS, LinearForm,
-                          Relation, TermProduct, TermSum, derive_relation,
-                          reduce_to_tornheim, relation_scale, split_pair,
+                          TermProduct, TermSum, reduce_to_tornheim, split_pair,
                           tornheim_parameters, trace_to_json, verify_step)
 
 from conftest import run_optimized
 
 F = Fraction
 U, W = LinearForm(1, 1), LinearForm(1, 2)
-REL_N = Relation(F(-1), F(1), FORM_N)      # -(m+n) + (m+2n) = n
 
 
 def tp(coeff, *pairs):
     return TermProduct.make(coeff, list(pairs))
+
+
+def forms(t):
+    return [f for f, _ in t.exponents]
+
+
+def name(f):
+    # m+n, 2m+3n, n: the form as the test ids spell it
+    return "+".join(f"{'' if c == 1 else c}{x}" for c, x in ((f.cm, "m"), (f.cn, "n")) if c)
 
 
 # ---------------------------------------------------------------- forms
@@ -38,32 +45,6 @@ def test_linear_form_validation():
         LinearForm(0, 0)
     with pytest.raises(ValueError):
         LinearForm(2, 4)        # not primitive
-    assert str(LinearForm(1, 0)) == "m"
-    assert str(LinearForm(0, 1)) == "n"
-    assert str(LinearForm(2, 3)) == "2m+3n"
-    assert str(LinearForm(1, 2)) == "m+2n"
-
-
-def test_relation_table_is_exact():
-    # every pair of target forms has a derived relation eliminating through m
-    pairs = [(u, w) for i, u in enumerate(G2_TARGETS) for w in G2_TARGETS[i + 1:]]
-    assert len(pairs) == 6
-    for u, w in pairs:
-        rel = derive_relation(u, w)
-        c = relation_scale(u, w, rel)
-        assert c > 0
-        assert rel.alpha * u.cm + rel.beta * w.cm == c * rel.v.cm
-        assert rel.alpha * u.cn + rel.beta * w.cn == c * rel.v.cn
-        assert rel.v == FORM_M
-
-
-def test_relation_scale_rejects_inexact():
-    bad = Relation(F(1), F(1), LinearForm(1, 3))
-    with pytest.raises(ValueError):
-        relation_scale(U, W, bad)       # (m+n)+(m+2n) is not k(m+3n)
-    negative = Relation(F(1), F(-1), FORM_N)
-    with pytest.raises(ValueError):
-        relation_scale(U, W, negative)  # gives -n, scale must be positive
 
 
 # ---------------------------------------------------------------- terms
@@ -72,14 +53,14 @@ def test_term_product_make_merges_and_sorts():
     t = tp(F(1, 2), (W, 1), (U, 2), (U, 1))
     assert t.exponent(U) == 3
     assert t.weight == 4
-    assert t.support == (U, W)
+    assert forms(t) == [U, W]
     with pytest.raises(ValueError):
         tp(1, (U, -1))
 
 
 def test_term_sum_merges_like_terms():
     ts = TermSum.make([tp(1, (U, 1)), tp(2, (U, 1)), tp(-3, (W, 1))])
-    assert [(t.coeff, t.support) for t in ts] == [(3, (U,)), (-3, (W,))]
+    assert [(t.coeff, forms(t)) for t in ts] == [(3, [U]), (-3, [W])]
     zero = TermSum.make([tp(1, (U, 1)), tp(-1, (U, 1))])
     assert not tuple(zero)
 
@@ -87,18 +68,21 @@ def test_term_sum_merges_like_terms():
 # ---------------------------------------------------------------- splits
 
 def test_split_pair_by_hand():
-    # -(m+n) + (m+2n) = n:  1/(uw) = (1/n)(1/u - 1/w)
-    out = split_pair(tp(1, (U, 1), (W, 1)), U, W, REL_N)
-    assert TermSum.make([tp(1, (FORM_N, 1), (U, 1)),
-                         tp(-1, (FORM_N, 1), (W, 1))]) == out
+    # 2(m+n) - (m+2n) = m:  1/(uw) = (1/m)(2/w - 1/u)
+    out = split_pair(tp(1, (U, 1), (W, 1)), U, W)
+    assert TermSum.make([tp(-1, (FORM_M, 1), (U, 1)),
+                         tp(2, (FORM_M, 1), (W, 1))]) == out
     assert verify_step(TermSum.make([tp(1, (U, 1), (W, 1))]), out)
 
 
-def _split_by_paths(t, u, w, relation):
-    # reference: walk every path of 1/(uw) = (1/(cv))(alpha/w + beta/u),
+def _split_by_paths(t, u, w):
+    # reference: walk every path of 1/(uw) = (1/(cm))(alpha/w + beta/u),
     # C(r+s, r) of them, until one of u, w is gone from each branch
+    alpha, beta = w.cn, -u.cn
+    c = u.cm * w.cn - u.cn * w.cm
+    assert c and alpha * u.cm + beta * w.cm == c     # alpha u + beta w = c m
+    assert alpha * u.cn + beta * w.cn == 0
     r, s = t.exponent(u), t.exponent(w)
-    c = relation_scale(u, w, relation)
     rest = [(f, e) for f, e in t.exponents if f != u and f != w]
     out = []
     stack = [(t.coeff, r, s, 0)]
@@ -106,39 +90,45 @@ def _split_by_paths(t, u, w, relation):
         coeff, eu, ew, ev = stack.pop()
         if eu == 0 or ew == 0:
             out.append(TermProduct.make(
-                coeff, rest + [(relation.v, ev), (u, eu), (w, ew)]))
+                coeff, rest + [(FORM_M, ev), (u, eu), (w, ew)]))
         else:
-            stack.append((coeff * relation.alpha / c, eu - 1, ew, ev + 1))
-            stack.append((coeff * relation.beta / c, eu, ew - 1, ev + 1))
+            stack.append((coeff * F(alpha, c), eu - 1, ew, ev + 1))
+            stack.append((coeff * F(beta, c), eu, ew - 1, ev + 1))
     return TermSum.make(out)
 
 
-# the derived relations include scales c = 1, 2 and 3
-@pytest.mark.parametrize("u,w,rel", [pytest.param(U, W, REL_N, id="REL_N")] + [
-    pytest.param(u, w, derive_relation(u, w), id=f"{u},{w}")
-    for u in G2_TARGETS for w in G2_TARGETS if u != w])
-def test_split_pair_matches_the_path_walk(u, w, rel):
+# the pairs' scales c include +-1, +-2 and +-3; a pair with n in it
+# trades n for m
+WITH_N = [(FORM_N, U), (W, FORM_N), (FORM_N, LinearForm(2, 3)),
+          (LinearForm(1, 3), FORM_N)]
+
+
+@pytest.mark.parametrize("u,w", [
+    pytest.param(u, w, id=f"{name(u)},{name(w)}")
+    for u, w in [(u, w) for u in G2_TARGETS for w in G2_TARGETS if u != w]
+    + WITH_N])
+def test_split_pair_matches_the_path_walk(u, w):
     for r in range(1, 8):
         for s in range(1, 8):
             # every other term also carries powers of m and n, which merge
-            # with the eliminator's
+            # with the eliminator's, and with n where the pair holds it
             extra = [(FORM_M, 2), (FORM_N, 3)] if (r + s) % 2 else []
             t = tp(F(-5, 3), (u, r), (w, s), *extra)
-            out = split_pair(t, u, w, rel)
-            assert out == _split_by_paths(t, u, w, rel)
-            assert len(out.terms) <= r + s
+            out = split_pair(t, u, w)
+            assert out == _split_by_paths(t, u, w)
+            assert len(out.terms) <= t.exponent(u) + t.exponent(w)
 
 
 def test_split_pair_requires_both_forms():
     with pytest.raises(ValueError):
-        split_pair(tp(1, (U, 2)), U, W, REL_N)
+        split_pair(tp(1, (U, 2)), U, W)
     with pytest.raises(ValueError):
-        split_pair(tp(1, (U, 1), (W, 1)), U, U, REL_N)
+        split_pair(tp(1, (U, 1), (W, 1)), U, U)
 
 
 def test_split_preserves_weight_and_drops_pair():
     t = tp(F(3, 7), (FORM_M, 2), (U, 2), (W, 3))
-    out = split_pair(t, U, W, REL_N)
+    out = split_pair(t, U, W)
     for piece in out:
         assert piece.weight == t.weight
         assert piece.exponent(U) == 0 or piece.exponent(W) == 0
@@ -147,7 +137,7 @@ def test_split_preserves_weight_and_drops_pair():
 
 def test_verify_step_catches_wrong_coefficient():
     t = tp(1, (U, 1), (W, 1))
-    out = split_pair(t, U, W, REL_N)
+    out = split_pair(t, U, W)
     bad = TermSum(tuple(TermProduct(2 * p.coeff, p.exponents) for p in out))
     assert not verify_step(TermSum.make([t]), bad)
     missing = TermSum.make(list(out)[:1])
@@ -227,12 +217,12 @@ hyp_sums = st.lists(st.builds(
 
 
 def _split_first(ts):
-    # ts with its first term that has two forms in n split by derive_relation
+    # ts with its first term that has two forms in n split through m
     for i, t in enumerate(ts):
-        in_n = [f for f in t.support if f.cn]
+        in_n = [f for f in forms(t) if f.cn]
         if len(in_n) >= 2:
             u, w = in_n[:2]
-            produced = split_pair(t, u, w, derive_relation(u, w))
+            produced = split_pair(t, u, w)
             return ts[:i] + list(produced) + ts[i + 1:]
     return list(ts)
 
@@ -268,7 +258,7 @@ def test_reduce_full_g2_product():
     trace = []
     out = reduce_to_tornheim(ts, trace=trace)
     for t in out:
-        nonbasis = [f for f in t.support if f not in (FORM_M, FORM_N)]
+        nonbasis = [f for f in forms(t) if f not in (FORM_M, FORM_N)]
         assert len(nonbasis) == 1 and nonbasis[0] in G2_TARGETS
         assert t.exponent(FORM_M) >= 1 and t.exponent(FORM_N) >= 1
         assert t.weight == 7
@@ -332,18 +322,13 @@ def test_reduce_needs_a_power_of_n():
 
 
 def test_reduce_watchdog_stops_cycling_relations(monkeypatch):
-    # a consistent but non-decreasing table: each pair eliminates into the
-    # third target form, so the set never shrinks and the shape check on
-    # the result rejects the terms left after the last level
+    # a split that makes no progress: the set of forms never shrinks, and
+    # the shape check on the result rejects the terms left after the last
+    # level
     V3 = LinearForm(1, 3)
-    cyclic = {
-        (U, W): Relation(F(-1), F(2), V3),          # -(m+n)+2(m+2n) = m+3n
-        (U, V3): Relation(F(1), F(1), W),           # (m+n)+(m+3n) = 2(m+2n)
-        (W, V3): Relation(F(2), F(-1), U),          # 2(m+2n)-(m+3n) = m+n
-    }
     ts = TermSum.make([tp(1, (FORM_M, 1), (FORM_N, 1),
                           (U, 1), (W, 1), (V3, 1))])
-    monkeypatch.setattr(pfd, "derive_relation", lambda u, w: cyclic[(u, w)])
+    monkeypatch.setattr(pfd, "split_pair", lambda t, u, w: TermSum((t,)))
     with pytest.raises(ValueError, match="not in double-series shape"):
         reduce_to_tornheim(ts)
 
@@ -358,6 +343,26 @@ def test_trace_json_shape():
     assert set(step) == {"term", "pair", "relation", "produced"}
     assert step["relation"]["v"] == [1, 0]
     assert all(set(t) == {"coeff", "factors"} for t in step["produced"])
+
+
+def test_trace_json_relation_values():
+    # each step's relation alpha u + beta w = c m has c > 0 and the pair's
+    # n-coefficients, crossed, as |alpha| and |beta|
+    requests = _g2_requests(9)
+    assert len(requests) == 56
+    trace = []
+    for ks in requests:
+        reduce_to_tornheim(request_term_sum(G2Request(ks)), trace=trace)
+    steps = trace_to_json(trace)
+    assert steps
+    for step in steps:
+        (ucm, ucn), (wcm, wcn) = step["pair"]
+        rel = step["relation"]
+        alpha, beta = int(rel["alpha"]), int(rel["beta"])
+        assert rel["v"] == [1, 0]
+        assert alpha * ucn + beta * wcn == 0
+        assert alpha * ucm + beta * wcm > 0
+        assert (abs(alpha), abs(beta)) == (wcn, ucn)
 
 
 def test_random_products_reduce_verified():

@@ -9,16 +9,13 @@ from tornheim.constants import BaseConstant, SymbolicValue
 from tornheim.g2 import G2ClosedForm, G2Request
 from tornheim.numeric import NumericCheckRecord, Precision
 from tornheim.parity import EvalRequest
-from tornheim.pfd import (FORM_M, FORM_N, G2_FORMS, LinearForm, Relation,
-                          RewriteStep, TermProduct, TermSum)
+from tornheim.pfd import (FORM_M, FORM_N, G2_FORMS, LinearForm, RewriteStep,
+                          TermProduct, TermSum)
 
 U, W = LinearForm(1, 1), LinearForm(1, 2)
 PRODUCT = TermProduct(Fraction(1, 2), ((U, 1), (W, 3)))
 PRODUCT_TEXT = ("TermProduct(coeff=Fraction(1, 2), exponents=((LinearForm(cm=1, "
                 "cn=1), 1), (LinearForm(cm=1, cn=2), 3)))")
-RELATION = Relation(Fraction(2), Fraction(-1), FORM_M)
-RELATION_TEXT = ("Relation(alpha=Fraction(2, 1), beta=Fraction(-1, 1), "
-                 "v=LinearForm(cm=1, cn=0))")
 RECORD = dict(label="closed form", lhs="1.5", rhs="1.5", abs_residual="0.0",
               rel_residual="0.0", tolerance=1e-10, digits=30, passed=True,
               cutoff=40, tail_bound="2.0e-45")
@@ -52,9 +49,6 @@ CASES = {
         "precision=Precision(digits=30, tolerance=1e-10), trace=[])"),
     "LinearForm": (
         LinearForm, dict(cm=2, cn=3), "LinearForm(cm=2, cn=3)"),
-    "Relation": (
-        Relation, dict(alpha=Fraction(2), beta=Fraction(-1), v=FORM_M),
-        RELATION_TEXT),
     "TermProduct": (
         TermProduct, dict(coeff=Fraction(1, 2), exponents=((U, 1), (W, 3))),
         PRODUCT_TEXT),
@@ -62,10 +56,9 @@ CASES = {
         TermSum, dict(terms=(PRODUCT,)), f"TermSum(terms=({PRODUCT_TEXT},))"),
     "RewriteStep": (
         RewriteStep,
-        dict(term=PRODUCT, u=U, w=W, relation=RELATION, produced=TermSum(())),
+        dict(term=PRODUCT, u=U, w=W, produced=TermSum(())),
         f"RewriteStep(term={PRODUCT_TEXT}, u=LinearForm(cm=1, cn=1), "
-        f"w=LinearForm(cm=1, cn=2), relation={RELATION_TEXT}, "
-        "produced=TermSum(terms=()))"),
+        "w=LinearForm(cm=1, cn=2), produced=TermSum(terms=()))"),
 }
 
 
