@@ -1,9 +1,8 @@
 """Exact rational arithmetic helpers: Bernoulli numbers and Bernoulli
-polynomials (one at a time, or B_0..B_k at one point).
+polynomial values.
 
 Two Bernoulli conventions exist in the literature, so every call names
-one explicitly; the package reads at-zero numbers only, and B_q(1) comes
-from `bernoulli_polys`:
+one explicitly; the package reads at-zero numbers only:
 
   at-zero :  B_k = B_k(0),  B_1 = -1/2   (generating function t/(e^t-1))
   at-one  :  B_k = B_k(1),  B_1 = +1/2   (generating function t*e^t/(e^t-1))
@@ -51,21 +50,14 @@ def bernoulli_number(k: int, convention: str) -> Fraction:
 
 
 def bernoulli_poly(k: int, x: Rational) -> Fraction:
-    """Bernoulli polynomial B_k(x) = sum_j C(k,j) B_j(0) x^(k-j)."""
-    return bernoulli_polys(k, x)[k]
-
-
-def bernoulli_polys(k: int, x: Rational) -> list[Fraction]:
-    """[B_0(x), ..., B_k(x)] from one list of the powers of x = n/d, kept
-    as the integer powers of n and d: d^q B_q(x) = sum_j C(q,j) B_j(0)
-    n^(q-j) d^j, so each term is one Bernoulli number times an integer."""
+    """Bernoulli polynomial B_k(x) = sum_j C(k,j) B_j(0) x^(k-j), summed
+    over the integer powers of x = n/d: d^k B_k(x) = sum_j C(k,j) B_j(0)
+    n^(k-j) d^j, so each term is one Bernoulli number times an integer."""
     if k < 0:
         raise ValueError("Bernoulli index must be >= 0")
     x = Fraction(x)
     if k not in _bern_cache:
         _extend_bernoulli(k)
-    num = [x.numerator ** i for i in range(k + 1)]
-    den = [x.denominator ** i for i in range(k + 1)]
-    return [sum(_bern_cache[j] * (comb(q, j) * num[q - j] * den[j])
-                for j in range(q + 1) if _bern_cache[j]) / den[q]
-            for q in range(k + 1)]
+    n, d = x.numerator, x.denominator
+    return sum(_bern_cache[j] * (comb(k, j) * n ** (k - j) * d ** j)
+               for j in range(k + 1) if _bern_cache[j]) / d ** k

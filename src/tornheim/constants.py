@@ -396,6 +396,9 @@ def from_json_dict(d: dict) -> SymbolicValue:
     """The value of a to_json_dict record; ValueError for a malformed one."""
     terms = []
     try:
+        # a string or a dict where a list belongs would iterate as one
+        if any(type(x) is not list for x in [d["terms"], *(t["factors"] for t in d["terms"])]):
+            raise ValueError("terms and factors must be lists")
         for t in d["terms"]:
             coeff = _json_fraction(t["num"], t["den"])
             factors = []

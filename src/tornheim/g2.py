@@ -46,8 +46,8 @@ class G2Request(namedtuple("G2Request", "ks")):
 
     def __new__(cls, ks: tuple[int, int, int, int, int, int]):
         ks = tuple(ks)
-        if len(ks) != 6 or min(ks) < 1:
-            raise ValueError("need six exponents >= 1")
+        if len(ks) != 6 or any(type(k) is not int for k in ks) or min(ks) < 1:
+            raise ValueError("need six integer exponents >= 1")
         if sum(ks) % 2 == 0:
             raise ValueError(
                 "weight must be odd: the parity theorem covers odd weight only")

@@ -8,38 +8,42 @@ S_j(q) with q of denominator dividing lcm(a,b)).
 
 The value equals -(1/2) [G_{a,b}(k1,k2,k3) + G_{b,a}(k2,k1,k3)] where
 G_{a,b} is the coefficient of t1^k1 t2^k2 t3^k3 in a generating function
-built from Bernoulli series and Hurwitz-type sums.  That coefficient is
-a finite sum assembled here exactly: term1 pairs a depth-one zeta series
-with the coefficients A_b(r,s) of
+built from Bernoulli series and Hurwitz-type sums.  The paper sums, for
+c = 0..b-1, the coefficient table of
 
-    alpha_b(t1,t2) = beta0(t1) beta0(-t2) (e^{b t1 - t2}-1)/(b t1 - t2),
+    f_c(t1) beta0(-t2) phi(b t1 - t2),  phi(x) = (e^x - 1)/x,
     beta0(t) = t/(e^t - 1) = sum B_p(0) t^p / p!,
 
-and term2 collects the shift corrections
+along its anti-diagonals with weights C(s,j) (-b)^j.  Block 0 (term1:
+f_0 = beta0, the table A_b) meets a depth-one zeta series; blocks c >= 1
+(term2: f_c = -t1 e^{-c t1}, the tables atilde_{b,c}) meet Clausen
+values at angles a*c/b, spread over (-1)^q B_q(c/b)/q!.  Two identities
+make each block one polynomial in x = c/b per s:
 
-    atilde_{b,c}(t1,t2) = -t1 e^{-c t1} beta0(-t2) (e^{b t1 - t2}-1)/(b t1 - t2)
+  * the contraction is [t1^k2 t2^k3] of the product times (t2 - b t1)^s,
+    and phi depends on b t1 - t2 alone: one sum over N of
+    G_c(N) = [t1^k2 t2^k3] f_c(t1) beta0(t2) (b t1 + t2)^N;
+  * the spread telescopes by B_n(x+1) - B_n(x) = n x^(n-1).
 
-for c = 1..b-1, whose constants are Clausen values at angles a*c/b paired
-with Bernoulli polynomial values B_q(c/b).  Both tables are read off as
-finite Cauchy double sums over Bernoulli numbers, one per coefficient.
-Each coefficient, per (b, c, r, s), is computed once per process and
-shared by every truncation that holds it; a caller gets a fresh dict.
+So block c writes (-1)^(k3+s+1) sum_{N >= s-1} G_c(N) x^m / m!, with
+m = N-s+1, at the angle a c/b, and minus its value at x = 1 at the whole
+angle a, where C_j(a) = zeta(j) and S_j(a) = 0.  The engine reads no
+table; alpha_coeffs and alpha_tilde_coeffs give the paper's.
 
-Both blocks sum their table along its anti-diagonals and hand one weight
-per (c, s) to one writer.  The zeta block is c = b, whose whole angle a
-gives C_j(a) = zeta(j), so reduce_angle alone picks zeta, C or S.  Every
-term is written at i^(e+odd), e = k-(k1+s), odd = (k1-1+s) mod 2, and
-e+odd = k-1 (mod 2) is even at odd weight k.  _real_terms checks that power
-where each term is written and raises on a nonzero term with odd power.
+Each (c, s) weight goes to one writer, and reduce_angle alone picks
+zeta, C or S.  Every term is written at i^(e+odd), e = k-(k1+s),
+odd = (k1-1+s) mod 2, and e+odd = k-1 (mod 2) is even at odd weight k.
+_real_terms checks that power where each term is written and raises on
+a nonzero term with odd power.
 """
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
-from .arith import bernoulli_number, bernoulli_polys
+from .arith import bernoulli_number
 from .constants import PI, SymbolicValue, mono_weight, reduce_angle
 
 
@@ -47,8 +51,8 @@ class EvalRequest(namedtuple("EvalRequest", "a b k1 k2 k3")):
     __slots__ = ()
 
     def __new__(cls, a: int, b: int, k1: int, k2: int, k3: int):
-        if min(a, b, k1, k2, k3) < 1:
-            raise ValueError("all of a, b, k1, k2, k3 must be >= 1")
+        if any(type(x) is not int or x < 1 for x in (a, b, k1, k2, k3)):
+            raise ValueError("all of a, b, k1, k2, k3 must be integers >= 1")
         if (k1 + k2 + k3) % 2 == 0:
             raise ValueError(
                 "weight must be odd: the parity theorem covers odd weight only")
@@ -70,48 +74,59 @@ class EvalRequest(namedtuple("EvalRequest", "a b k1 k2 k3")):
 
 @cache
 def _front(c: int, p: int) -> Fraction:
-    """The t1^p coefficient of f(t1): beta0(t1) for c = 0, else -t1 e^{-c t1}."""
+    """The t1^p coefficient of f_c(t1): beta0(t1) for c = 0, else -t1 e^{-c t1}."""
     if c == 0:
         return bernoulli_number(p, "at-zero") / factorial(p)
     return -Fraction((-c) ** (p - 1), factorial(p - 1)) if p else Fraction(0)
 
 
-@cache
-def _inner(b: int, q1: int, s: int) -> Fraction:
-    """The sum over p2 <= s of B_p2(0)/p2! b^q1 / (q1! (s-p2)! (q1+s-p2+1)):
-    the inner sum of _coeff, which depends on r and p1 only through q1 = r-p1."""
-    return Fraction(b ** q1, factorial(q1)) * sum(
-        _front(0, p2) / (factorial(s - p2) * (q1 + s - p2 + 1))
-        for p2 in range(s + 1) if _front(0, p2))
-
-
-@cache
 def _coeff(b: int, c: int, r: int, s: int) -> Fraction:
-    """The coefficient of t1^r t2^s in f(t1) beta0(-t2) (e^{bt1-t2}-1)/(bt1-t2),
-    f as in _front: the Cauchy double sum over p1 <= r, p2 <= s of
-    f_p1 B_p2(0)/p2! (-1)^s b^(r-p1) / ((r-p1)! (s-p2)! (r-p1+s-p2+1))."""
-    return (-1) ** s * sum((_front(c, p1) * _inner(b, r - p1, s)
-                            for p1 in range(r + 1) if _front(c, p1)), Fraction(0))
-
-
-def _coeff_table(b: int, c: int, rows: int, cols: int) -> dict:
-    """{(r, s): _coeff(b, c, r, s)} for r <= rows, s <= cols, a fresh dict."""
-    return {(r, s): _coeff(b, c, r, s)
-            for r in range(rows + 1) for s in range(cols + 1)}
+    """The t1^r t2^s coefficient of f_c(t1) beta0(-t2) phi(b t1 - t2), as
+    a Cauchy double sum over the coefficients of f_c(t1) and beta0(-t2)."""
+    return (-1) ** s * sum((_front(c, p1) * _front(0, p2) * Fraction(
+        b ** (r - p1), factorial(r - p1) * factorial(s - p2) * (r - p1 + s - p2 + 1))
+        for p1 in range(r + 1) for p2 in range(s + 1)), Fraction(0))
 
 
 def alpha_coeffs(b: int, rows: int, cols: int) -> dict:
     """{(r, s): A_b(r,s)} for r <= rows, s <= cols."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    return _coeff_table(b, 0, rows, cols)
+    return {(r, s): _coeff(b, 0, r, s)
+            for r in range(rows + 1) for s in range(cols + 1)}
 
 
 def alpha_tilde_coeffs(b: int, c: int, rows: int, cols: int) -> dict:
     """Coefficients of atilde_{b,c}(t1,t2) at t1^r t2^s, r <= rows, s <= cols."""
     if not 1 <= c <= b - 1:
         raise ValueError("need 1 <= c <= b-1")
-    return _coeff_table(b, c, rows, cols)
+    return {(r, s): _coeff(b, c, r, s)
+            for r in range(rows + 1) for s in range(cols + 1)}
+
+
+@cache
+def _block(b: int, c: int, k2: int, k3: int) -> tuple[int, ...]:
+    """(D, D G_c(0), ..., D G_c(k2+k3)), D the least common denominator:
+    G_c(N) = sum over p1+p2 = k2+k3-N of f_p1 B_p2(0)/p2! C(N,k2-p1) b^(k2-p1)."""
+    g = [Fraction(0)] * (k2 + k3 + 1)
+    for p1 in range(k2 + 1):
+        for p2 in range(k3 + 1):
+            n = k2 + k3 - p1 - p2
+            g[n] += _front(c, p1) * _front(0, p2) * comb(n, k2 - p1) * b ** (k2 - p1)
+    den = lcm(*(x.denominator for x in g))
+    return den, *(x.numerator * (den // x.denominator) for x in g)
+
+
+def _spread(block: tuple, s: int, n: int, d: int) -> Fraction:
+    """The sum over N >= s-1 of G_c(N) x^m / m!, m = N-s+1, at x = n/d,
+    summed in integers over the denominator D d^top top!, top = max m."""
+    den, *g = block
+    top = len(g) - s
+    acc, scale = 0, 1                   # scale = d^(top-m) top!/m!
+    for m in range(top, -1, -1):
+        acc += g[m + s - 1] * scale * n ** m
+        scale *= d * m
+    return Fraction(acc, den * d ** top * factorial(top))
 
 
 def _real_terms(k: int, e: int, x: Fraction, cst: SymbolicValue) -> list:
@@ -121,19 +136,6 @@ def _real_terms(k: int, e: int, x: Fraction, cst: SymbolicValue) -> list:
         raise RuntimeError(f"odd power i^{k} on a nonzero term: {x} pi^{e} {cst}")
     sign = -1 if k % 4 >= 2 else 1
     return [(sign * x * coeff, [*mono, (PI, e)]) for mono, coeff in cst.terms()]
-
-
-def _diagonal_sums(table: dict, b: int, k2: int, k3: int, n2_from: int) -> dict:
-    """{s: sum of T(n2,n3) C(s,j) (-b)^j over n2 >= n2_from}, s = k2+k3-n2-n3
-    and j = k2-n2: T summed along the anti-diagonals, where s fixes both
-    pi^(n2+n3) and the constant's index."""
-    sums: dict[int, Fraction] = {}
-    for (n2, n3), t in table.items():
-        if t and n2 >= n2_from:
-            j = k2 - n2
-            s = j + k3 - n3
-            sums[s] = sums.get(s, 0) + t * (comb(s, j) * (-b) ** j)
-    return sums
 
 
 def _write(req: EvalRequest, weights: dict) -> SymbolicValue:
@@ -153,41 +155,29 @@ def _write(req: EvalRequest, weights: dict) -> SymbolicValue:
     return SymbolicValue.from_terms(terms)
 
 
-def term1_coeff(req: EvalRequest) -> SymbolicValue:
-    """The coefficient block pairing A_b(n2,n3) with the depth-one zeta
-    series: (2 pi i)^e a^-s zeta(k1+s) for odd k1+s, the writer's c = b."""
+def _blocks(req: EvalRequest, cs: range) -> SymbolicValue:
+    """The blocks c in cs; block 0's angle 0 is whole, so it writes to (b, s)."""
     _, b, k1, k2, k3 = req
-    sums = _diagonal_sums(alpha_coeffs(b, k2, k3), b, k2, k3, 0)
-    return _write(req, {(b, s): w for s, w in sums.items()
-                        if s >= 1 and (k1 + s) % 2})
+    weights: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
+    for c in cs:
+        block = _block(b, c, k2, k3)
+        for s in range(1, k2 + k3 + 1):
+            sign = (-1) ** (k3 + s + 1)
+            if (k1 + s) % 2:
+                weights[(b, s)] -= sign * _spread(block, s, 1, 1)
+            if c or (k1 + s) % 2:
+                weights[(c or b, s)] += sign * _spread(block, s, c, b)
+    return _write(req, weights)
+
+
+def term1_coeff(req: EvalRequest) -> SymbolicValue:
+    """Block 0: (2 pi i)^e a^-s zeta(k1+s) for odd k1+s."""
+    return _blocks(req, range(1))
 
 
 def term2_coeff(req: EvalRequest) -> SymbolicValue:
-    """The shift-correction block: Clausen values at angles
-    a*c/b weighted by Bernoulli polynomial values B_q(c/b); zero when b = 1."""
-    _, b, k1, k2, k3 = req
-    # (-1)^q B_q(c/b) / q! for every q below, one list per c built from
-    # one list of powers of c/b; c = b gives the B_q(1) of the zeta block,
-    # which has no Clausen block to join when b = 1
-    bern = {c: [v / ((-1) ** q * factorial(q)) for q, v in
-                enumerate(bernoulli_polys(k2 + k3 - 1, Fraction(c, b)))]
-            for c in range(1, b + 1) if b > 1}
-    # with diagonal sum w at s0 and s0+1 = s+q, the term is
-    # (-1)^q w (2 pi i)^e/(a^s q!) times
-    #   i S_{k1+s}(ac/b) B_q(c/b)                   for even k1+s,
-    #   C_{k1+s}(ac/b) B_q(c/b) - zeta(k1+s) B_q(1)  for odd k1+s,
-    # and zeta(k1+s) is the Clausen block at c = b: sum the weights per
-    # (c, s) and write them once
-    weights: dict[tuple[int, int], Fraction] = {}
-    for c in range(1, b):
-        sums = _diagonal_sums(alpha_tilde_coeffs(b, c, k2, k3), b, k2, k3, 1)
-        for s0, w in sums.items():
-            for s in range(1, s0 + 2):
-                q = s0 + 1 - s
-                if (k1 + s) % 2:
-                    weights[(b, s)] = weights.get((b, s), 0) - w * bern[b][q]
-                weights[(c, s)] = weights.get((c, s), 0) + w * bern[c][q]
-    return _write(req, weights)
+    """The shift blocks c = 1..b-1, with angles a*c/b; zero when b = 1."""
+    return _blocks(req, range(1, req.b))
 
 
 def g_coefficient(req: EvalRequest) -> SymbolicValue:

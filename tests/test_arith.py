@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tornheim import arith
-from tornheim.arith import bernoulli_number, bernoulli_poly, bernoulli_polys
+from tornheim.arith import bernoulli_number, bernoulli_poly
 
 F = Fraction
 
@@ -72,12 +72,6 @@ def test_poly_difference_equation(k, x):
 def test_poly_reflection(k, x):
     # B_k(1-x) = (-1)^k B_k(x)
     assert bernoulli_poly(k, 1 - F(x)) == (-1) ** k * bernoulli_poly(k, x)
-
-
-@given(st.integers(0, 18),
-       st.fractions(min_value=-3, max_value=3, max_denominator=12))
-def test_polys_at_one_point_match_one_at_a_time(k, x):
-    assert bernoulli_polys(k, x) == [bernoulli_poly(q, x) for q in range(k + 1)]
 
 
 def test_cache_grows_safely_under_threads(monkeypatch):

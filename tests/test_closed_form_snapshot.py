@@ -9,7 +9,12 @@ reaches: every composition of weights 9-13 for (1,1), (1,3), (2,3) and
 of weights 9-11 for (3,7), and every weight-15 composition with k1 = 1
 for those four pairs (cases already in the first file are left out).
 
-Both hold the `to_json_dict` terms of each form. Regenerate them only
+tests/data/closed_forms_high.json pins the weights the other two files
+do not reach: the distinct reduced terms of the G2 requests
+(1,1,1,1,1,16), (5,5,5,5,5,6) and (1,1,1,1,1,38), at weights 21, 31
+and 43.
+
+All three hold the `to_json_dict` terms of each form. Regenerate them only
 from code whose forms are known to be right:
 
     PYTHONPATH=src python tests/test_closed_form_snapshot.py
@@ -20,12 +25,15 @@ from pathlib import Path
 
 import pytest
 
+from tornheim import pfd
 from tornheim.constants import from_json_dict, to_json_dict
+from tornheim.g2 import G2Request, request_term_sum
 from tornheim.parity import EvalRequest, closed_form
 
 DATA = Path(__file__).parent / "data"
 SNAPSHOT = DATA / "closed_forms.json"
 WIDE = DATA / "closed_forms_wide.json"
+HIGH = DATA / "closed_forms_high.json"
 
 
 def _compositions(weight):
@@ -52,6 +60,12 @@ def wide_cases():
                 if (weight <= top or (weight == 15 and ks[0] == 1)) \
                         and (a, b, *ks) not in seen:
                     yield (a, b, *ks)
+
+
+def high_cases():
+    for ks in [(1, 1, 1, 1, 1, 16), (5, 5, 5, 5, 5, 6), (1, 1, 1, 1, 1, 38)]:
+        reduced = pfd.reduce_to_tornheim(request_term_sum(G2Request(ks)))
+        yield from sorted({pfd.tornheim_parameters(t) for t in reduced})
 
 
 def _key(case):
@@ -88,6 +102,15 @@ def test_closed_form_matches_wide_snapshot(case):
     _check(WIDE, case)
 
 
+def test_high_snapshot_covers_every_case():
+    assert sorted(_load(HIGH)) == sorted(_key(c) for c in high_cases())
+
+
+@pytest.mark.parametrize("case", list(high_cases()), ids=_key)
+def test_closed_form_matches_high_snapshot(case):
+    _check(HIGH, case)
+
+
 def _write(path, case_list):
     lines = [json.dumps(_key(c)) + ": " + json.dumps(
                  to_json_dict(closed_form(EvalRequest(*c))), sort_keys=True)
@@ -99,3 +122,4 @@ if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     _write(SNAPSHOT, cases())
     _write(WIDE, wide_cases())
+    _write(HIGH, high_cases())

@@ -366,10 +366,13 @@ def _in_terms(*terms):
     '{"num": "1"}',
     '{"num": "1", "den": "1", "factors": [{"index": 3, "exp": 1}]}',
     '{"num": "1", "den": "1", "factors": [{"kind": "pi"}]}',
-) + ['{}', '[]', '{"terms": 5}'],
+    '{"num": "1", "den": "1", "factors": ""}',
+    '{"num": "1", "den": "1", "factors": {}}',
+) + ['{}', '[]', '{"terms": 5}', '{"terms": ""}', '{"terms": {}}'],
     ids=["float-index", "string-index", "bool-index", "zero-den", "zero-angle-den",
          "float-num", "bool-den", "float-angle", "no-den", "no-kind", "no-exp",
-         "no-terms", "list", "int-terms"])
+         "string-factors", "dict-factors",
+         "no-terms", "list", "int-terms", "string-terms", "dict-terms"])
 def test_json_rejects_malformed_factors(doc):
     with pytest.raises(ValueError):
         from_json(doc)

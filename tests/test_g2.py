@@ -37,6 +37,14 @@ def test_request_validation():
     assert G2Request([2, 1, 1, 1, 1, 1]).weight == 7
 
 
+@pytest.mark.parametrize("ks", [(1.0, 1, 1, 1, 1, 2), (1, 1, 1, 1, 1, True),
+                                (1, 1, 1, 1, 1, "2"), (1, 1, 1, 1, 1, F(2))])
+def test_request_rejects_non_integers(ks):
+    # at construction, not later inside the reducer
+    with pytest.raises(ValueError, match="integer"):
+        G2Request(ks)
+
+
 def test_weight_seven_first_entry_doubled():
     res = evaluate_g2(G2Request((2, 1, 1, 1, 1, 1)))
     expected = (sv(F(-109, 1296), (zeta(7), 1))
@@ -139,7 +147,7 @@ def test_closed_form_memo_holds_each_distinct_term_once(monkeypatch):
     assert len(computed) == len(set(computed)) == 52
 
     memo = dict(g2._closed_forms)
-    for name in ("_front", "_inner", "_coeff"):  # from empty coefficient caches
+    for name in ("_front", "_block"):  # from empty coefficient caches
         monkeypatch.setattr(parity, name, cache(getattr(parity, name).__wrapped__))
     for req, value in memo.items():
         assert value == closed_form(req)

@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp
 
 import tornheim.parity as parity
-from tornheim.arith import bernoulli_number
+from tornheim.arith import bernoulli_number, bernoulli_poly
 from tornheim.constants import PI, SymbolicValue, clausen_s, mono_weight, zeta
 from tornheim.numeric import Precision, eval_symbolic, lattice_sum
 from tornheim.parity import (EvalRequest, alpha_coeffs, alpha_tilde_coeffs,
@@ -89,7 +89,7 @@ def test_alpha_tilde_validates_shift():
 
 def _cold_coefficient_caches(monkeypatch):
     """Give the coefficient functions empty caches until the test ends."""
-    for name in ("_front", "_inner", "_coeff"):
+    for name in ("_front", "_block"):
         monkeypatch.setattr(parity, name, cache(getattr(parity, name).__wrapped__))
 
 
@@ -127,28 +127,25 @@ def test_grown_tables_equal_direct_builds(b, monkeypatch):
 
 
 def test_sweep_computes_each_coefficient_once(monkeypatch):
-    # the sizes a sweep of weights 5-9 with b <= 8 asks for compute each
-    # (b, c, r, s) of the union of their rectangles once, and a repeated
-    # sweep computes nothing
+    # a sweep of weights 5-9 with b <= 8 computes each block (b, c, k2, k3)
+    # it reaches once, and a repeated sweep computes none
     computed = []
-    plain = parity._coeff.__wrapped__
-    monkeypatch.setattr(parity, "_coeff", cache(
+    plain = parity._block.__wrapped__
+    monkeypatch.setattr(parity, "_block", cache(
         lambda *key: computed.append(key) or plain(*key)))
 
     def sweep():
         for b in range(1, 9):
             for weight in (5, 7, 9):
-                for k2 in range(1, weight - 1):
-                    for k3 in range(1, weight - k2):
-                        alpha_coeffs(b, k2, k3)
-                        for c in range(1, b):
-                            alpha_tilde_coeffs(b, c, k2, k3)
+                for k1 in range(1, weight - 1):
+                    for k2 in range(1, weight - k1):
+                        g_coefficient(EvalRequest(1, b, k1, k2, weight - k1 - k2))
 
     sweep()
     assert len(computed) == len(set(computed))
-    assert set(computed) == {(b, c, r, s) for b in range(1, 9)
-                             for c in range(b) for r in range(8)
-                             for s in range(8) if r + s <= 8}
+    assert set(computed) == {(b, c, k2, k3) for b in range(1, 9)
+                             for c in range(b) for k2 in range(1, 8)
+                             for k3 in range(1, 9 - k2)}
     computed.clear()
     sweep()
     assert computed == []
@@ -164,6 +161,15 @@ def test_request_validation():
     req = EvalRequest(2, 5, 1, 2, 4)
     assert req.weight == 7
     assert req.swapped == EvalRequest(5, 2, 2, 1, 4)
+
+
+@pytest.mark.parametrize("args", [(1.0, 1, 1, 1, 3), (1, 1, 1, 1, 3.0),
+                                  (True, 1, 1, 1, 3), (1, 1, "1", 1, 3),
+                                  (1, F(1), 1, 1, 3)])
+def test_request_rejects_non_integers(args):
+    # at construction, not later inside closed_form
+    with pytest.raises(ValueError, match="integers"):
+        EvalRequest(*args)
 
 
 def test_zeta_block_matches_direct_formula():
@@ -186,6 +192,49 @@ def test_zeta_block_matches_direct_formula():
                 want += sv((-1) ** (e // 2) * w * F(2 ** e, a ** s),
                            (PI, e), (zeta(k1 + s), 1))
         assert term1_coeff(EvalRequest(a, b, k1, k2, k3)) == want
+
+
+@cache
+def _tilde_diagonal_sums(b, c, k2, k3):
+    # {s0: sum T(n2,n3) C(s0,j) (-b)^j}, T = atilde_{b,c}, s0 = k2+k3-n2-n3
+    # and j = k2-n2: the table summed along its anti-diagonals
+    sums = {}
+    for (n2, n3), t in alpha_tilde_coeffs(b, c, k2, k3).items():
+        s0, j = k2 + k3 - n2 - n3, k2 - n2
+        sums[s0] = sums.get(s0, 0) + t * comb(s0, j) * (-b) ** j
+    return sums
+
+
+@cache
+def _bernoulli_spread(q, x):
+    return (-1) ** q * bernoulli_poly(q, x) / factorial(q)
+
+
+def test_shift_blocks_match_contracted_tables(monkeypatch):
+    # term2 by the route of the paper's tables: each diagonal sum w at s0
+    # spread over s + q = s0 + 1 as (-1)^q B_q(x)/q! w, at (c, s) with
+    # x = c/b, and negated at x = 1 on the zeta key (b, s) for odd k1+s;
+    # the nonzero weights handed to the writer must be these
+    monkeypatch.setattr(parity, "_write", lambda req, weights: {
+        key: w for key, w in weights.items() if w})
+    for b in range(2, 9):
+        for weight in (5, 7, 9):
+            for k1 in range(1, weight - 1):
+                for k2 in range(1, weight - k1):
+                    k3 = weight - k1 - k2
+                    weights = {}
+                    for c in range(1, b):
+                        for s0, w in _tilde_diagonal_sums(b, c, k2, k3).items():
+                            for s in range(1, s0 + 2):
+                                q = s0 + 1 - s
+                                if (k1 + s) % 2:
+                                    weights[(b, s)] = (weights.get((b, s), 0)
+                                                       - w * _bernoulli_spread(q, 1))
+                                weights[(c, s)] = (weights.get((c, s), 0)
+                                                   + w * _bernoulli_spread(q, F(c, b)))
+                    want = {key: w for key, w in weights.items() if w}
+                    for a in range(1, 9):
+                        assert term2_coeff(EvalRequest(a, b, k1, k2, k3)) == want
 
 
 # ----------------------------------------------------------- closed forms
@@ -336,30 +385,3 @@ def test_odd_power_of_i_check_survives_optimize():
               "except RuntimeError as exc:\n"
               "    print(exc)\n")
     assert "odd power i^1" in run_optimized(script)
-
-
-def test_closed_form_insensitive_to_constant_block_convention(monkeypatch):
-    # B_q(1) = B_q(0) except q = 1, and the q = 1 contributions cancel at
-    # odd weight, so reading the constant block's Bernoulli numbers in
-    # the other convention must not change any closed form
-    import tornheim.parity as parity
-    from tornheim.arith import bernoulli_polys
-
-    flips = []
-
-    def flipped(k, x):
-        # the constant block reads B_q(1) from bernoulli_polys at x = 1
-        values = bernoulli_polys(k, x)
-        if x == 1 and k >= 1:
-            values[1] = bernoulli_number(1, "at-zero")
-            flips.append(k)
-        return values
-
-    cases = [(1, 2, 1, 1, 3), (1, 3, 2, 2, 3), (2, 3, 1, 2, 2),
-             (2, 5, 1, 1, 3), (3, 4, 1, 2, 4)]
-    expected = [closed_form(EvalRequest(*c)) for c in cases]
-    monkeypatch.setattr(parity, "bernoulli_polys", flipped)
-    for c, want in zip(cases, expected):
-        assert closed_form(EvalRequest(*c)) == want
-    # the flip must be read, or this test checks nothing
-    assert len(flips) >= len(cases)
