@@ -65,10 +65,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_numeric_flags(p_g2)
     p_g2.set_defaults(run=cmd_g2)
 
+    def pair(spec: str) -> tuple[int, int]:  # "A,B"; ValueError: usage error
+        a, b = map(int, spec.split(","))
+        return a, b
     p_tab = sub.add_parser(
         "table", help="all compositions of a weight, verified, one per line")
     p_tab.add_argument("--weight", type=int, required=True)
-    p_tab.add_argument("--pairs", nargs="+", required=True, metavar="A,B",
+    p_tab.add_argument("--pairs", type=pair, nargs="+", required=True,
+                       metavar="A,B",
                        help="series parameters, e.g. --pairs 1,1 1,3 2,5")
     _add_numeric_flags(p_tab, formats=("text", "json"))
     p_tab.set_defaults(run=cmd_table)
@@ -118,6 +122,15 @@ def _evaluate(parser, req, prec: Precision, check=True, basis="clausen",
     return value, checks
 
 
+def _fields(req: EvalRequest, value=None, checks=None) -> dict:
+    """An eval record's request, result, text and check, which each table
+    row shares; the request alone without a `value` (a row that errored)."""
+    request = {"request": {"a": req.a, "b": req.b, "k": list(req[2:])}}
+    return request if value is None else {
+        **request, "result": to_json_dict(value), "text": to_text(value),
+        "check": checks["closed form"].as_json_dict() if checks else None}
+
+
 def _verdict(checks: dict, show: bool) -> int:
     """Exit code of a request's checks, 3 if one failed; if `show`, prints
     the verdict of all and the residual of the last (the basis shown last)."""
@@ -138,14 +151,8 @@ def cmd_eval(parser, args) -> int:
     elif args.format == "text":
         print(to_text(value))
     else:
-        _emit("eval", {
-            "request": {"a": args.a, "b": args.b, "k": list(args.k)},
-            "basis": args.basis,
-            "result": to_json_dict(value),
-            "text": to_text(value),
-            "latex": to_latex(value),
-            "check": checks["closed form"].as_json_dict() if checks else None,
-        })
+        _emit("eval", {**_fields(req, value, checks), "basis": args.basis,
+                       "latex": to_latex(value)})
     return _verdict(checks, show=args.format == "text")
 
 
@@ -174,41 +181,26 @@ def cmd_g2(parser, args) -> int:
 
 
 def cmd_table(parser, args) -> int:
-    if args.weight % 2 == 0:
-        parser.error("weight must be odd")
-    if args.weight < 3:
-        parser.error("weight must be >= 3")
-    pairs = []
-    for spec in args.pairs:
-        try:
-            a, b = (int(x) for x in spec.split(","))
-        except ValueError:
-            parser.error(f"bad pair {spec!r}; expected A,B")
-        if a < 1 or b < 1:
-            parser.error(f"bad pair {spec!r}; parameters must be >= 1")
-        pairs.append((a, b))
-    prec = _precision(parser, args)
     w = args.weight
-    rows = ((a, b, (k1, k2, w - k1 - k2)) for a, b in pairs
-            for k1 in range(1, w - 1) for k2 in range(1, w - k1))
+    reqs = [_usage_checked(parser, EvalRequest, a, b, k1, k2, w - k1 - k2)
+            for a, b in args.pairs
+            for k1 in range(1, w - 1) for k2 in range(1, w - k1)]
+    if not reqs:
+        parser.error("weight must be >= 3")
+    prec = _precision(parser, args)
     worst = errors = 0
-    for a, b, ks in rows:
-        record = {"request": {"a": a, "b": b, "k": list(ks)}}
+    for req in reqs:
         try:
-            value, checks = _evaluate(parser, EvalRequest(a, b, *ks), prec)
+            value, checks = _evaluate(parser, req, prec)
             code = _verdict(checks, show=False)
-            record["result"] = to_json_dict(value)
-            record["text"] = to_text(value)
-            record["check"] = checks["closed form"].as_json_dict()
-            record["passed"] = code == 0
+            record = {**_fields(req, value, checks), "passed": code == 0}
             worst = max(worst, code)
         except Exception as exc:  # keep streaming; report per record
-            record["error"] = str(exc)
-            record["passed"] = False
+            record = {**_fields(req), "error": str(exc), "passed": False}
             errors += 1
         if args.format == "text":
-            mark = "ok " if record["passed"] else "FAIL"
-            print(f"{mark} a={a} b={b} k={ks}: {record.get('text', record.get('error'))}")
+            print("ok " if record["passed"] else "FAIL", f"a={req.a} b={req.b}"
+                  f" k={req[2:]}:", record.get("text", record.get("error")))
         else:
             _emit("table", record)
     return 1 if errors else worst

@@ -52,6 +52,8 @@ class Precision(namedtuple("Precision", "digits tolerance")):
     __slots__ = ()
 
     def __new__(cls, digits: int = 30, tolerance: float = 1e-10):
+        if type(digits) is not int or not isinstance(tolerance, float):
+            raise ValueError("digits must be an int and tolerance a float")
         if not (0 < tolerance < 1):
             raise ValueError("tolerance must be in (0,1)")
         need = ceil(-log10(tolerance)) + 10
@@ -191,7 +193,8 @@ def _oriented(factors, swap):
     prefactor, or cm*m, counted in A, with cm^-beta when cn = 0."""
     A, shifts, pref = 0, defaultdict(int), Fraction(1)
     for cm, cn, beta in factors:
-        if cm < 0 or cn < 0 or (cm, cn) == (0, 0) or beta < 1:
+        if (any(type(x) is not int for x in (cm, cn, beta)) or cm < 0
+                or cn < 0 or (cm, cn) == (0, 0) or beta < 1):
             raise ValueError(f"bad factor ({cm},{cn})^{beta}")
         cm, cn = (cn, cm) if swap else (cm, cn)
         if cn:

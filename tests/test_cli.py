@@ -288,10 +288,34 @@ def test_table_record_counts():
 
 
 def test_table_validation():
-    assert run_cli("table", "--weight", "4", "--pairs", "1,1")[0] == 2
-    assert run_cli("table", "--weight", "1", "--pairs", "1,1")[0] == 2
-    assert run_cli("table", "--weight", "5", "--pairs", "1;1")[0] == 2
-    assert run_cli("table", "--weight", "5", "--pairs", "0,1")[0] == 2
+    # each request's own rule, or argparse's for a malformed pair
+    for weight, pair, message in [
+            ("4", "1,1", "weight must be odd"),
+            ("1", "1,1", "weight must be >= 3"),
+            ("-3", "1,1", "weight must be >= 3"),
+            ("5", "1;1", "argument --pairs: invalid pair value: '1;1'"),
+            ("5", "1,2,3", "argument --pairs: invalid pair value: '1,2,3'"),
+            ("5", "0,1", "all of a, b, k1, k2, k3 must be integers >= 1")]:
+        code, out, err = run_cli("table", "--weight", weight, "--pairs", pair)
+        assert (code, out) == (2, ""), (weight, pair)
+        assert message in err, (weight, pair)
+
+
+def test_table_rows_share_the_eval_record_fields():
+    code, out, _ = run_cli("table", "--weight", "5", "--pairs", "1,1", "2,3",
+                           "--format", "json")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 12
+    for row in rows:
+        req = row["request"]
+        code, out, _ = run_cli("eval", "--a", str(req["a"]), "--b",
+                               str(req["b"]), "--k", *map(str, req["k"]),
+                               "--verify", "--format", "json")
+        assert code == 0
+        record = json.loads(out)
+        for key in ("request", "result", "text", "check"):
+            assert row[key] == record[key], key
 
 
 def test_table_has_no_latex_format():

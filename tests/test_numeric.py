@@ -34,6 +34,11 @@ def test_precision_validation():
     with pytest.raises(ValueError):
         Precision(digits=30, tolerance=2.0)
     assert Precision(digits=30, tolerance=1e-10).dps == 40
+    # digits an int (bools excluded), tolerance a float
+    for digits, tolerance in [(30.5, 1e-10), (True, 1e-10), (30, "1e-10"),
+                              (30, None)]:
+        with pytest.raises(ValueError, match="digits must be an int"):
+            Precision(digits, tolerance)
 
 
 def test_check_values_relative_and_absolute():
@@ -277,6 +282,12 @@ def test_divergent_inputs_rejected():
         lattice_sum([(1, 0, 2), (0, 1, 0)], PREC)   # bad exponent
     with pytest.raises(ValueError):
         lattice_sum([(-1, 1, 2), (1, 0, 2)], PREC)
+    # every entry of a factor is an int, bools excluded
+    for factors in ([(1, 0, 2), (0, 1, 1.5), (1, 1, 1)],
+                    [(1.0, 0, 2), (0, 1, 2), (1, 1, 1)],
+                    [(1, 0, True), (0, 1, 2), (1, 1, 1)]):
+        with pytest.raises(ValueError, match="bad factor"):
+            lattice_sum(factors, PREC)
 
 
 def test_convergence_and_residue_checks_survive_optimize():
