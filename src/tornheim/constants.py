@@ -38,6 +38,7 @@ RULES_DOC = (
 
 class BaseConstant(namedtuple("BaseConstant", "kind index angle")):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # validates _replace too
 
     def __new__(cls, kind: str, index: int = 0, angle: Fraction = Fraction(0)):
         if kind == "pi":

@@ -43,6 +43,7 @@ class VerificationError(RuntimeError):
 
 class G2Request(namedtuple("G2Request", "ks")):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # validates _replace too
 
     def __new__(cls, ks: tuple[int, int, int, int, int, int]):
         ks = tuple(ks)

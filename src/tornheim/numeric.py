@@ -41,6 +41,7 @@ from .arith import bernoulli_number
 from .constants import BaseConstant, SymbolicValue
 
 _MAX_CUTOFF = 50000
+_ORDER = 10  # Euler-Maclaurin terms K in every tail
 _ABS_FLOOR = mp.mpf("1e-30")  # check_values and lattice_sum scale by |value| above it
 
 
@@ -50,6 +51,7 @@ class PrecisionError(RuntimeError):
 
 class Precision(namedtuple("Precision", "digits tolerance")):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # validates _replace too
 
     def __new__(cls, digits: int = 30, tolerance: float = 1e-10):
         if type(digits) is not int or not isinstance(tolerance, float):
@@ -285,33 +287,23 @@ def _lattice_pass(A, shifts, pref, dps, M, K, heads):
         return (shift0 + head + tail) * mpq(pref), abs(bound * mpq(pref))
 
 
-def lattice_sum(factors, precision: Precision = DEFAULT_PRECISION,
-                cutoff: int | None = None, swap: bool | None = None,
-                order: int = 10):
+def lattice_sum(factors, precision: Precision = DEFAULT_PRECISION):
     """sum_{m,n>=1} prod (cm*m+cn*n)^-beta with a rigorous tail bound.
 
     factors: iterable of (cm, cn, beta).  Returns (value, bound, M) with
-    M the final outer cutoff.  The orientation (which variable is summed
-    exactly) is chosen to maximize the smallest Hurwitz shift unless
-    `swap` forces it; `cutoff` seeds the outer cutoff M, which doubles
-    until the bound meets tolerance.
+    M the final outer cutoff.  The exact sum runs over the variable whose
+    smallest nonzero shift qmin is larger; M starts at max(40, ⌊24/qmin⌋+1)
+    and doubles until the bound of the _ORDER-term tail meets tolerance.
     """
     factors = list(factors)
-    forms = {s: _oriented(factors, s) for s in (False, True)}
-    qmin = {s: min(filter(None, f[1]), default=1) for s, f in forms.items()}
-    if swap is None:
-        swap = qmin[True] > qmin[False]
-    A, shifts, pref = forms[swap]
-
-    if cutoff is not None and cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, not {cutoff}")
-    if order < 0:
-        raise ValueError(f"order must be >= 0, not {order}")
-    M = cutoff if cutoff is not None else max(40, int(24 / qmin[swap]) + 1)
+    forms = [_oriented(factors, swap) for swap in (False, True)]
+    qmin = [min(filter(None, shifts), default=1) for _, shifts, _ in forms]
+    A, shifts, pref = forms[qmin[True] > qmin[False]]
+    M = max(40, int(24 / max(qmin)) + 1)
     heads: dict[tuple, object] = {}  # head values, for this call only
     while True:
         value, bound = _lattice_pass(A, shifts, pref, precision.dps, M,
-                                     order, heads)
+                                     _ORDER, heads)
         target = mp.mpf(precision.tolerance) * max(abs(value), _ABS_FLOOR)
         if bound <= target:
             return value, bound, M

@@ -49,6 +49,7 @@ from .constants import PI, SymbolicValue, mono_weight, reduce_angle
 
 class EvalRequest(namedtuple("EvalRequest", "a b k1 k2 k3")):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # validates _replace too
 
     def __new__(cls, a: int, b: int, k1: int, k2: int, k3: int):
         if any(type(x) is not int or x < 1 for x in (a, b, k1, k2, k3)):

@@ -25,6 +25,7 @@ from math import comb, gcd, prod
 
 class LinearForm(namedtuple("LinearForm", "cm cn")):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # validates _replace too
 
     def __new__(cls, cm: int, cn: int):
         if cm < 0 or cn < 0 or (cm, cn) == (0, 0):

@@ -207,6 +207,17 @@ def test_check_records_carry_the_oracle_cutoff(monkeypatch):
     assert checks["clausen"]["cutoff"] == checks["dirichlet"]["cutoff"] >= 40
 
 
+def test_escalating_check_records_the_doubled_cutoff():
+    # 1e-40 is not met at the seed 40, so the oracle doubles once
+    code, out, _ = run_cli("eval", "--a", "1", "--b", "1", "--k", "1", "1", "3",
+                           "--verify", "--prec", "50", "--tol", "1e-40",
+                           "--format", "json")
+    assert code == 0
+    check = json.loads(out)["check"]
+    assert check["cutoff"] == 80
+    assert float(check["tail_bound"]) <= 1e-40 * abs(float(check["rhs"]))
+
+
 def test_g2_text_output_with_reduction():
     code, out, _ = run_cli("g2", "--k", "2", "1", "1", "1", "1", "1",
                            "--show-reduction")

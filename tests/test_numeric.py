@@ -2,8 +2,6 @@
 lattice sums against classical anchors, exact recurrences, brute force
 and themselves (orientation swap), plus bound honesty.
 """
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -14,16 +12,39 @@ from tornheim.constants import (SymbolicValue, PI,
                                 clausen_c, clausen_s, dirichlet_l3, zeta)
 from tornheim.numeric import (DEFAULT_PRECISION, Precision, PrecisionError,
                               check_values, eval_constant, eval_symbolic,
-                              lattice_sum, verify, _partial_fraction_coeffs)
+                              lattice_sum, verify, _lattice_pass,
+                              _partial_fraction_coeffs)
 from tornheim import numeric
 from tornheim.g2 import G2Request
 from tornheim.parity import EvalRequest, closed_form
 from tornheim.pfd import G2_FORMS
 
-from conftest import child_env, run_optimized
+from conftest import run_optimized
 
 F = Fraction
 PREC = Precision(digits=30, tolerance=1e-12)
+STRICT = Precision(digits=50, tolerance=1e-40)
+ESCALATING = [(1, 0, 2), (0, 1, 2), (1, 1, 1)]  # PREC meets its seed, STRICT not
+
+
+def one_pass(factors, swap, M, K=numeric._ORDER, precision=PREC):
+    """(value, bound) of one oracle pass in a fixed orientation, cutoff
+    and Euler-Maclaurin order."""
+    return _lattice_pass(*numeric._oriented(factors, swap), precision.dps,
+                         M, K, {})
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The cutoff of every oracle pass, in order."""
+    cutoffs, plain = [], numeric._lattice_pass
+
+    def counted(A, shifts, pref, dps, M, K, heads):
+        cutoffs.append(M)
+        return plain(A, shifts, pref, dps, M, K, heads)
+
+    monkeypatch.setattr(numeric, "_lattice_pass", counted)
+    return cutoffs
 
 
 # ------------------------------------------------------------- precision
@@ -186,11 +207,14 @@ def test_exact_recurrence(a, b, k):
 
 
 def test_orientation_swap_agrees():
-    factors = [(1, 0, 1), (0, 1, 2), (1, 3, 2)]
-    v1, b1, _ = lattice_sum(factors, PREC, swap=False)
-    v2, b2, _ = lattice_sum(factors, PREC, swap=True)
-    with mp.workdps(PREC.dps):
-        assert abs(v1 - v2) <= b1 + b2
+    # the six G2 forms at 73, the seed of their orientation with shifts
+    # 1, 1/2, 1/3 and 2/3; the other has 1, 2, 3 and 3/2
+    for factors, M in [([(1, 0, 1), (0, 1, 2), (1, 3, 2)], 40),
+                       (G2Request((1, 1, 1, 1, 1, 2)).factors, 73)]:
+        (v1, b1), (v2, b2) = (one_pass(factors, swap, M)
+                              for swap in (False, True))
+        with mp.workdps(PREC.dps):
+            assert abs(v1 - v2) <= b1 + b2
 
 
 def test_brute_force_partial_sum_is_a_lower_bound():
@@ -213,62 +237,37 @@ def test_bound_is_honest_across_precisions():
         assert abs(v - v_ref) <= bound + bound_ref
 
 
-def test_cutoff_seed_is_escalated_until_bound_met():
-    factors = [(1, 0, 2), (0, 1, 2), (1, 1, 1)]
-    doublings_of_seed = [4 << j for j in range(15)]
-    v_small, bound, cutoff = lattice_sum(factors, PREC, cutoff=4)
-    v_auto, bound_auto, _ = lattice_sum(factors, PREC)
-    with mp.workdps(PREC.dps):
-        assert bound <= mp.mpf(PREC.tolerance) * abs(v_small)
-        assert abs(v_small - v_auto) <= bound + bound_auto
-    assert cutoff in doublings_of_seed
-    # a tighter tolerance is not met at the seed itself
-    _, _, cutoff = lattice_sum(factors, Precision(digits=30, tolerance=1e-20),
-                               cutoff=4)
-    assert cutoff in doublings_of_seed and cutoff > 4
-
-
-def test_negative_cutoff_is_rejected():
-    with pytest.raises(ValueError, match="cutoff must be >= 1"):
-        lattice_sum([(1, 0, 2), (0, 1, 2), (1, 1, 1)], PREC, cutoff=-3)
-
-
-@pytest.mark.parametrize("order", [-1, -5])
-def test_negative_order_is_rejected(order):
-    with pytest.raises(ValueError, match=f"order must be >= 0, not {order}"):
-        lattice_sum([(1, 0, 2), (0, 1, 2), (1, 1, 1)], order=order)
+def test_cutoff_seed_is_escalated_until_bound_met(passes):
+    # the seed is read from a call that meets tolerance in one pass
+    M0 = lattice_sum(ESCALATING, PREC)[2]
+    assert passes == [M0]
+    v, bound, M = lattice_sum(ESCALATING, STRICT)
+    v_seed, bound_seed = one_pass(ESCALATING, False, M0, precision=STRICT)
+    with mp.workdps(STRICT.dps):
+        assert bound <= mp.mpf(STRICT.tolerance) * abs(v)
+        assert abs(v - v_seed) <= bound + bound_seed
+        # a tighter tolerance is not met at the seed itself
+        assert bound_seed > mp.mpf(STRICT.tolerance) * abs(v_seed)
+    assert M in [M0 << j for j in range(1, 15)]
+    assert passes[1:] == [M0 << j for j in range(len(passes) - 1)]
 
 
 def test_order_zero_bounds_its_one_term_tail():
     # the tail keeps only zeta(r0, M+1) and zeta(r0+1, M+1); the first
     # Bernoulli term is the omitted one, and it bounds the true error
-    factors = [(1, 0, 2), (0, 1, 2), (1, 1, 1)]
-    value, bound, cutoff = lattice_sum(factors, order=0)
-    exact = lattice_sum(factors, Precision(digits=50, tolerance=1e-40))[0]
-    assert cutoff == 80
+    value, bound = one_pass(ESCALATING, False, 80, K=0,
+                            precision=DEFAULT_PRECISION)
+    exact = lattice_sum(ESCALATING, STRICT)[0]
     with mp.workdps(50):
         assert abs(value - exact) <= bound <= mp.mpf("1e-10") * abs(exact)
 
 
-def test_zero_cutoff_is_rejected():
-    # a cutoff of 0 never doubles past the budget, so a regression hangs:
-    # the child's timeout turns that into a failure
-    script = ("import tornheim.numeric as n\n"
-              "try:\n"
-              "    n.lattice_sum([(1, 0, 2), (0, 1, 2), (1, 1, 1)], cutoff=0)\n"
-              "except ValueError as exc:\n"
-              "    print(exc)\n")
-    proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "cutoff must be >= 1, not 0\n"
-
-
-def test_unreachable_tolerance_raises(monkeypatch):
-    monkeypatch.setattr(numeric, "_MAX_CUTOFF", 64)
+def test_unreachable_tolerance_raises(monkeypatch, passes):
+    M0 = lattice_sum(ESCALATING, PREC)[2]
+    monkeypatch.setattr(numeric, "_MAX_CUTOFF", M0)
     with pytest.raises(PrecisionError):
-        lattice_sum([(1, 0, 1), (0, 1, 1), (1, 50, 3)],
-                    Precision(digits=40, tolerance=1e-25), order=1)
+        lattice_sum(ESCALATING, STRICT)
+    assert passes == [M0, M0]   # the first miss raises
 
 
 def test_divergent_inputs_rejected():
@@ -439,11 +438,11 @@ def test_eval_head_calls_are_unchanged(head_calls):
 
 def test_escalated_call_evaluates_no_argument_twice(head_calls):
     # psi(1+m) for m up to the final cutoff, once each over every pass
-    # from the seed 4 up; the shift 0 is summed exactly and calls nothing
-    factors = [(1, 0, 2), (0, 1, 2), (1, 1, 1)]
-    _, _, M = lattice_sum(factors, Precision(digits=30, tolerance=1e-20),
-                          cutoff=4)
-    assert M > 4
+    # from the seed up; the shift 0 is summed exactly and calls nothing
+    M0 = lattice_sum(ESCALATING, PREC)[2]
+    head_calls.clear()
+    _, _, M = lattice_sum(ESCALATING, STRICT)
+    assert M in [M0 << j for j in range(1, 15)]
     assert len(head_calls) == len(set(head_calls)) == M
 
 

@@ -86,3 +86,27 @@ def test_form_order_defaults_and_record_dict():
     six = [v for k, v in CASES["G2ClosedForm"][1].items() if k != "trace"]
     assert G2ClosedForm(*six).trace == []
     assert G2ClosedForm(*six).trace is not G2ClosedForm(*six).trace
+
+
+INVALID = {
+    "Precision._replace": lambda: Precision()._replace(digits=30.5),
+    "EvalRequest._replace": lambda: EvalRequest(1, 1, 1, 1, 3)._replace(k3=4),
+    "G2Request._make": lambda: G2Request._make([(1, 1, 1, 1, 1, 1)]),
+    "BaseConstant._make": lambda: BaseConstant._make(("C", 5, Fraction(1, 3))),
+    "LinearForm._make": lambda: LinearForm._make((2, 4)),
+    "Precision._make": lambda: Precision._make((12, 1e-5)),
+}
+
+
+@pytest.mark.parametrize("build", INVALID.values(), ids=list(INVALID))
+def test_make_and_replace_validate(build):
+    # namedtuple's _make, which _replace calls, would skip the constructor
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_valid_replace_keeps_the_type():
+    request = EvalRequest(1, 1, 1, 1, 3)._replace(k3=5)
+    assert type(request) is EvalRequest and request == (1, 1, 1, 1, 5)
+    assert request.weight == 7
+    assert type(Precision._make((45, 1e-35))) is Precision
